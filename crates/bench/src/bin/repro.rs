@@ -84,13 +84,17 @@
 //! Table/figure output — and the run journal — is bit-identical for
 //! every N.
 //!
-//! `--topology SxM` runs any target on an S-socket × M-core machine:
-//! per-socket LLC + CAT domain, per-socket memory controllers by default
-//! (`@shared` / `@CYCLES` select one controller homed on socket 0 with a
-//! cross-socket fill penalty), one CMM controller instance per CAT
-//! domain, and mixes tiled onto the larger machine by round-robin slot
-//! replication. `--topology 1x8` is a complete no-op: digest, stdout and
-//! journal stay byte-identical to the flagless run.
+//! `--topology SxM` runs the evaluation targets (fig7..fig15, fairness,
+//! overhead, bandwidth, scale and the evaluation half of all) on an
+//! S-socket × M-core machine: per-socket LLC + CAT domain, per-socket
+//! memory controllers by default (`@shared` / `@CYCLES` select one
+//! controller homed on socket 0 with a cross-socket fill penalty), one
+//! CMM controller instance per CAT domain, and mixes tiled onto the
+//! larger machine by round-robin slot replication. `--topology 1x8` is a
+//! complete no-op: digest, stdout and journal stay byte-identical to the
+//! flagless run. The single-socket targets (faults, governor, learn,
+//! extension, ablate, table1, fig1, fig2, fig3, fig5) refuse a
+//! multi-socket `--topology` with exit 2.
 //!
 //! Every run writes a machine-readable perf log (wall-clock, cells/sec,
 //! sim-cycles/sec per target) to `BENCH_sim.json` (see `--bench-json`)
@@ -1088,8 +1092,34 @@ fn report_cell_failures(target: &str, failures: &[CellFailure], ckpt: Option<&Ch
     );
 }
 
+/// Targets that build their machines without [`eval_cfg`] and so always
+/// run single-socket: a multi-socket `--topology` on them is refused
+/// rather than journaled as if it had run.
+const SINGLE_SOCKET_TARGETS: [&str; 10] = [
+    "faults",
+    "governor",
+    "learn",
+    "extension",
+    "ablate",
+    "table1",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig5",
+];
+
 fn main() {
     let args = parse_args();
+    if let Some(t) = args.topology.filter(|t| !t.is_single()) {
+        if SINGLE_SOCKET_TARGETS.contains(&args.target.as_str()) {
+            eprintln!(
+                "repro {}: --topology {} refused: this target runs single-socket only",
+                args.target,
+                t.label()
+            );
+            std::process::exit(2);
+        }
+    }
     // CI subcommands: pure file processing, no simulation, no perf log.
     // `soak` re-invokes this binary against a scratch dir and gates on
     // byte identity of the converged artifacts.

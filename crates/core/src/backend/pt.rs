@@ -15,6 +15,11 @@ use crate::telemetry::FaultRecord;
 /// on, only the two L2 engines (streamer + adjacent) off, and all off.
 pub const FINE_LEVELS: [u64; 3] = [0x0, 0x3, 0xF];
 
+/// PT-fine's cap on throttle groups (and on the per-core exhaustive
+/// limit): two groups of three levels keep the search within 9 sampling
+/// intervals.
+pub const FINE_GROUP_CAP: usize = 2;
+
 /// Result of one PT profiling pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PtOutcome {
@@ -32,7 +37,8 @@ pub struct PtOutcome {
 
 /// PT-fine (extension): like [`profile`], but each throttle group is
 /// searched over the three [`FINE_LEVELS`] instead of binary on/off.
-/// Groups are capped at 2 so the search stays within 9 sampling intervals.
+/// Groups are capped at [`FINE_GROUP_CAP`] so the search stays within 9
+/// sampling intervals.
 pub fn profile_fine<S: Substrate>(
     sys: &mut S,
     ctrl: &ControllerConfig,
@@ -40,12 +46,8 @@ pub fn profile_fine<S: Substrate>(
     log: &mut Vec<FaultRecord>,
 ) -> PtOutcome {
     let detection = detect_logged(sys, ctrl, det_cfg, log);
-    let groups = throttle_groups(
-        &detection.agg,
-        &detection.interval1,
-        2, // exhaustive limit: per-core groups only up to 2 cores
-        2,
-    );
+    let groups =
+        throttle_groups(&detection.agg, &detection.interval1, FINE_GROUP_CAP, FINE_GROUP_CAP);
     let search = search_throttle_levels(sys, &groups, &FINE_LEVELS, ctrl.sampling_interval, log);
     let profiling_cycles = detection.profiling_cycles + search.cycles;
     PtOutcome {

@@ -6,32 +6,40 @@
 //! detects the `Agg` set and the back-end trials candidate configurations.
 //! The winning configuration is applied for the following execution epoch.
 //!
+//! Every profiling epoch runs one controller instance per CAT domain
+//! (socket). A single-socket machine is the one-domain case and journals
+//! `domain: None`. The detection intervals are shared across domains;
+//! each domain then plans and applies its own decision against its
+//! socket's CAT state and cores, under its own safety governor when one
+//! is attached ([`Driver::with_governor`]).
+//!
 //! The controller's own work is charged as
-//! [`ControllerConfig::overhead_cycles`] per invocation and reported by
-//! [`Driver::overhead_ratio`] — the analogue of the paper's PMU-vs-TSC
-//! overhead measurement (<0.1 %).
+//! [`ControllerConfig::overhead_cycles`] per domain and invocation and
+//! reported by [`Driver::overhead_ratio`] — the analogue of the paper's
+//! PMU-vs-TSC overhead measurement (<0.1 %).
 //!
 //! The driver is generic over the [`Substrate`] it manages and **degrades
 //! gracefully** when the substrate misbehaves: transiently rejected MSR
 //! writes are retried (see [`backend::write_msr_logged`]), a CAT plan that
 //! cannot be programmed makes the epoch retreat CMM → Dunn → no-op
-//! (always via the infallible [`Substrate::reset_cat`] safe state first),
-//! and every observed fault plus the chosen degradation lands in the
-//! epoch's [`EpochRecord::faults`] / [`EpochRecord::degraded`] telemetry.
+//! (always via the infallible [`Substrate::reset_cat_domain`] safe state
+//! first), and every observed fault plus the chosen degradation lands in
+//! the epoch's [`EpochRecord::faults`] / [`EpochRecord::degraded`]
+//! telemetry.
 
-use crate::backend::{self, cbp, cmm, cp, dunn, pt, PartitionPlan};
+use crate::backend::{self, cbp, cmm, cp, dunn, pt, Detection, PartitionPlan};
 use crate::frontend::DetectorConfig;
 use crate::governor::{self, Governor, GovernorConfig, RegClass};
 use crate::learned::{self, Learner};
 use crate::policy::{ControllerConfig, Mechanism};
 use crate::substrate::Substrate;
-use crate::telemetry::{CoreSample, EpochRecord, FaultRecord, Trial};
-use cmm_sim::msr;
+use crate::telemetry::{CoreSample, EpochRecord, FaultRecord};
+use cmm_sim::msr::{MSR_MBA_THROTTLE, MSR_MISC_FEATURE_CONTROL};
 use cmm_sim::pmu::{Pmu, PmuDelta};
 use cmm_sim::System;
 
 /// The register images of an RL-CBP action held in force across stretched
-/// execution epochs (the learned epoch-length knob), per CAT domain.
+/// execution epochs (the learned epoch-length knob).
 struct RlHold {
     /// Execution epochs the action still has to run before re-planning.
     skip: u64,
@@ -43,6 +51,22 @@ struct RlHold {
     /// The held action's journal label.
     label: String,
 }
+
+/// One CAT domain's controller state, carried from epoch to epoch.
+#[derive(Default)]
+struct DomainController {
+    /// `exec_hm_ipc` of the domain's previous record, for the delta.
+    prev_exec_hm: Option<f64>,
+    /// RL-CBP's stretched action, while one is in force.
+    rl_hold: Option<RlHold>,
+    /// The domain's safety governor, when attached. `None` leaves every
+    /// epoch byte-identical to the ungoverned driver.
+    governor: Option<Governor>,
+}
+
+/// The domain-local `(MSR 0x1A4, MBA)` register images a parked domain
+/// re-asserts after a shared detection turned every prefetcher back on.
+type Images = (Vec<u64>, Vec<u64>);
 
 /// Drives one [`Substrate`] under one [`Mechanism`].
 pub struct Driver<S: Substrate = System> {
@@ -59,21 +83,12 @@ pub struct Driver<S: Substrate = System> {
     /// `(cycle, pmus)` at the end of the previous `epoch()` call — the
     /// baseline the next epoch measures its execution-epoch IPC against.
     exec_anchor: Option<(u64, Vec<Pmu>)>,
-    /// `exec_hm_ipc` of the previous epoch's record, for the delta.
-    prev_exec_hm: Option<f64>,
-    /// Multi-socket analogue of `prev_exec_hm`: one entry per CAT domain,
-    /// sized lazily on the first multi-socket epoch.
-    prev_exec_hm_dom: Vec<Option<f64>>,
-    /// The safety governor, when attached ([`Driver::with_governor`]).
-    /// `None` leaves every epoch byte-identical to the ungoverned driver.
-    governor: Option<Governor>,
+    /// Per-CAT-domain controller state, one entry per socket.
+    domains: Vec<DomainController>,
     /// The learned controller, when attached ([`Driver::with_learner`]).
     /// Without one, ML-Sel and RL-CBP degrade every epoch to the CMM-a
     /// search.
     learner: Option<Learner>,
-    /// Per-domain stretched-action state for RL-CBP (index 0 on a
-    /// single-socket machine), sized lazily on the first RL epoch.
-    rl_hold: Vec<Option<RlHold>>,
 }
 
 impl<S: Substrate> Driver<S> {
@@ -85,6 +100,7 @@ impl<S: Substrate> Driver<S> {
             ptr_threshold: ctrl.ptr_threshold,
             pga_floor: ctrl.pga_floor,
         };
+        let domains = (0..sys.config().topology.sockets).map(|_| Default::default()).collect();
         Driver {
             sys,
             mechanism,
@@ -95,30 +111,30 @@ impl<S: Substrate> Driver<S> {
             agg_history: Vec::new(),
             records: Vec::new(),
             exec_anchor: None,
-            prev_exec_hm: None,
-            prev_exec_hm_dom: Vec::new(),
-            governor: None,
+            domains,
             learner: None,
-            rl_hold: Vec::new(),
         }
     }
 
-    /// Attaches a safety governor (see [`crate::governor`]): every
-    /// subsequent epoch verifies the applied plan against the last-known-
-    /// good hm_ipc (rolling back on regression under faults), drops
-    /// quarantined cores from classification, and consults the circuit
-    /// breakers before touching a register class. At fault rate zero none
-    /// of the defenses ever fire and the run stays byte-identical to an
-    /// ungoverned one.
+    /// Attaches a safety governor (see [`crate::governor`]) to every CAT
+    /// domain: each subsequent epoch verifies the domain's applied plan
+    /// against its last-known-good hm_ipc (rolling back on regression
+    /// under faults), drops quarantined cores from classification, and
+    /// consults the domain's circuit breakers before touching a register
+    /// class. At fault rate zero none of the defenses ever fire and the
+    /// run stays byte-identical to an ungoverned one.
     pub fn with_governor(mut self, cfg: GovernorConfig) -> Self {
-        let cores = self.sys.num_cores();
-        self.governor = Some(Governor::new(cfg, cores));
+        let len = self.sys.config().topology.cores_per_socket;
+        for dc in &mut self.domains {
+            dc.governor = Some(Governor::new(cfg.clone(), len));
+        }
         self
     }
 
-    /// The attached governor, if any (tests and run summaries).
-    pub fn governor(&self) -> Option<&Governor> {
-        self.governor.as_ref()
+    /// CAT domain `domain`'s governor, if one is attached (tests and run
+    /// summaries).
+    pub fn governor(&self, domain: usize) -> Option<&Governor> {
+        self.domains.get(domain)?.governor.as_ref()
     }
 
     /// Attaches a learned controller (see [`crate::learned`]): ML-Sel
@@ -197,395 +213,360 @@ impl<S: Substrate> Driver<S> {
 
     /// Runs exactly one profiling epoch (decision + application), without
     /// the following execution epoch. Exposed for tests and examples.
-    /// Every epoch appends one [`EpochRecord`] to [`Driver::records`].
+    /// Every epoch appends one [`EpochRecord`] per CAT domain to
+    /// [`Driver::records`], all stamped with this epoch's index and start
+    /// cycle.
     ///
     /// Never panics on substrate faults: unrecoverable CAT failures make
-    /// the epoch retreat CMM → Dunn → no-op (flat CAT via `reset_cat`),
-    /// recording the chosen degradation in the epoch's telemetry.
+    /// the epoch retreat CMM → Dunn → no-op (flat CAT via
+    /// `reset_cat_domain`), recording the chosen degradation in the
+    /// domain's telemetry.
     ///
-    /// On a single-socket machine the epoch runs the original whole-machine
-    /// controller and appends one record (`domain: None`). On a multi-socket
-    /// machine it runs one controller instance per CAT domain (see
-    /// [`Driver::epoch_multi`]) and appends one record per domain.
+    /// The detection intervals are shared across domains (two
+    /// machine-wide samples total, see [`backend::detect_domains_logged`]).
+    /// Throttle-search trial intervals run per domain in sequence (each
+    /// trial must measure its own domain undisturbed), which is also how
+    /// independent per-socket daemons would interleave in wall-clock time.
+    /// Faults are attributed to the domain whose controller section
+    /// observed them; machine-wide faults with a core id are routed to
+    /// that core's domain, core-less ones to domain 0.
     pub fn epoch(&mut self) {
-        if self.sys.config().topology.is_single() {
-            self.epoch_single()
+        self.epochs += 1;
+        let epoch_start = self.sys.now();
+        let topo = self.sys.config().topology;
+        let len = topo.cores_per_socket;
+        let mut log: Vec<FaultRecord> = Vec::new();
+        // How did the execution epoch each domain just finished perform?
+        let exec_deltas: Option<Vec<PmuDelta>> = match self.exec_anchor.take() {
+            Some((anchor_cycle, anchor)) if self.sys.now() > anchor_cycle => {
+                let current = backend::pmu_read_stable(&mut self.sys, &mut log);
+                Some(current.iter().zip(anchor).map(|(&c, a)| c - a).collect())
+            }
+            _ => None,
+        };
+        let mut recs: Vec<EpochRecord> = (0..topo.sockets)
+            .map(|d| EpochRecord {
+                epoch: self.epochs,
+                cycle: epoch_start,
+                mechanism: self.mechanism.label(),
+                domain: (!topo.is_single()).then_some(d),
+                cores: Vec::new(),
+                agg: Vec::new(),
+                friendly: Vec::new(),
+                unfriendly: Vec::new(),
+                trials: Vec::new(),
+                winner: None,
+                exec_hm_ipc: None,
+                exec_ipc_delta: None,
+                faults: Vec::new(),
+                degraded: None,
+                governor: Vec::new(),
+                features: Vec::new(),
+                action: None,
+                applied: Vec::new(),
+            })
+            .collect();
+        route_faults(&mut log, &mut recs, len);
+        // One control-state read serves every governed domain's snapshot.
+        let state = if self.domains.iter().any(|dc| dc.governor.is_some()) {
+            self.sys.control_state()
         } else {
-            self.epoch_multi()
+            Vec::new()
+        };
+        // A domain is parked for this epoch when its governor rolled it
+        // back or it holds a stretched RL-CBP action: it runs its last
+        // state for one more execution epoch instead of re-planning.
+        let mut parked: Vec<Option<Images>> = Vec::with_capacity(recs.len());
+        for (d, (dc, rec)) in self.domains.iter_mut().zip(&mut recs).enumerate() {
+            let base = d * len;
+            rec.exec_hm_ipc =
+                exec_deltas.as_ref().map(|x| backend::sample_hm_ipc(&x[base..base + len]));
+            rec.exec_ipc_delta = rec.exec_hm_ipc.zip(dc.prev_exec_hm).map(|(cur, prev)| cur - prev);
+            if rec.exec_hm_ipc.is_some() {
+                dc.prev_exec_hm = rec.exec_hm_ipc;
+            }
+            // Governor defense 1 (apply-then-verify): the execution epoch
+            // that just ran is the verification window of the previously
+            // applied plan. A regression past the bound — only ever while
+            // substrate faults are active — restores the pre-plan snapshot
+            // and parks the domain, letting the last-known-good state run
+            // one more execution epoch instead of re-planning from
+            // fault-tainted telemetry.
+            if let Some(g) = dc.governor.as_mut() {
+                g.begin_epoch(epoch_start);
+                match rec.exec_hm_ipc {
+                    Some(hm) if g.should_roll_back(hm) => {
+                        let snap = g.snapshot().expect("rollback requires a snapshot");
+                        governor::restore(&mut self.sys, snap, base);
+                        parked.push(Some((
+                            snap.iter().map(|c| c.msr_1a4).collect(),
+                            snap.iter().map(|c| c.mba_level).collect(),
+                        )));
+                        g.log_rollback(epoch_start);
+                        rec.faults.push(FaultRecord {
+                            cycle: epoch_start,
+                            kind: "degraded",
+                            core: None,
+                            msr: None,
+                            action: "kept_last_good",
+                        });
+                        continue;
+                    }
+                    hm => {
+                        if let Some(hm) = hm {
+                            g.accept(hm);
+                        }
+                        g.note_snapshot(state[base..base + len].to_vec());
+                    }
+                }
+            }
+            let mut held = None;
+            if self.mechanism == Mechanism::RlCbp {
+                // Credit the action in force with the execution epoch's
+                // hm_ipc delta before picking the next one.
+                if let (Some(Learner::Rl(rl)), Some(delta)) =
+                    (self.learner.as_mut(), rec.exec_ipc_delta)
+                {
+                    rl.bandit_mut(d).observe(delta);
+                }
+                // A stretched action stays in force: no re-plan — the
+                // learned epoch-length knob.
+                if let Some(h) = dc.rl_hold.as_mut().filter(|h| h.skip > 0) {
+                    h.skip -= 1;
+                    rec.action = Some(format!("hold:{}", h.label));
+                    held = Some((h.pf_image.clone(), h.mba_image.clone()));
+                }
+            }
+            parked.push(held);
+        }
+        if self.mechanism != Mechanism::Baseline {
+            // One controller instance per domain does its own bookkeeping.
+            self.overhead_cycles += self.ctrl.overhead_cycles * recs.len() as u64;
+        }
+        // With every domain parked the epoch runs no profiling at all.
+        if parked.iter().any(Option::is_none) {
+            self.plan(&mut recs, &parked);
+        }
+        // Anchor for the next epoch's execution-IPC measurement.
+        let anchor = backend::pmu_read_stable(&mut self.sys, &mut log);
+        self.exec_anchor = Some((self.sys.now(), anchor));
+        route_faults(&mut log, &mut recs, len);
+        let applied = self.sys.control_state();
+        let now = self.sys.now();
+        for (d, (dc, mut rec)) in self.domains.iter_mut().zip(recs).enumerate() {
+            let base = d * len;
+            // Feed the domain's fault stream through its breaker and
+            // quarantine state machines and journal the interventions.
+            if let Some(g) = dc.governor.as_mut() {
+                g.observe_faults(&localize(&rec.faults, base, len), now);
+                rec.governor = g.take_events();
+            }
+            rec.applied = applied[base..base + len].to_vec();
+            self.records.push(rec);
         }
     }
 
-    /// The original whole-machine profiling epoch (single CAT domain).
-    fn epoch_single(&mut self) {
-        self.epochs += 1;
-        let epoch_start = self.sys.now();
-        let mut log: Vec<FaultRecord> = Vec::new();
-        // How did the execution epoch we just finished actually perform?
-        let exec_hm_ipc = match self.exec_anchor.take() {
-            Some((anchor_cycle, anchor)) if self.sys.now() > anchor_cycle => {
-                let current = backend::pmu_read_stable(&mut self.sys, &mut log);
-                let deltas: Vec<PmuDelta> =
-                    current.iter().zip(anchor).map(|(&c, a)| c - a).collect();
-                Some(backend::sample_hm_ipc(&deltas))
-            }
-            _ => None,
-        };
-        let exec_ipc_delta = match (exec_hm_ipc, self.prev_exec_hm) {
-            (Some(cur), Some(prev)) => Some(cur - prev),
-            _ => None,
-        };
-        if exec_hm_ipc.is_some() {
-            self.prev_exec_hm = exec_hm_ipc;
-        }
-        // Governor defense 1 (apply-then-verify): the execution epoch that
-        // just ran is the verification window of the previously applied
-        // plan. A regression past the bound — only ever while substrate
-        // faults are active — restores the pre-plan snapshot and skips
-        // this epoch's profiling, letting the last-known-good state run
-        // one more execution epoch instead of re-planning from
-        // fault-tainted telemetry.
-        let mut rolled_back = false;
-        if let Some(g) = self.governor.as_mut() {
-            g.begin_epoch(epoch_start);
-            if let Some(hm) = exec_hm_ipc {
-                if g.should_roll_back(hm) {
-                    if let Some(snap) = g.snapshot() {
-                        governor::restore(&mut self.sys, snap);
-                    }
-                    g.log_rollback(epoch_start);
-                    log.push(FaultRecord {
-                        cycle: epoch_start,
-                        kind: "degraded",
-                        core: None,
-                        msr: None,
-                        action: "kept_last_good",
-                    });
-                    rolled_back = true;
-                } else {
-                    g.accept(hm);
-                    g.note_snapshot(self.sys.control_state());
+    /// The re-planning half of an epoch: each domain that is not parked
+    /// resets to its mechanism's starting state, the shared detection
+    /// runs, parked domains re-assert their register images, and every
+    /// other domain makes its own decision.
+    fn plan(&mut self, recs: &mut [EpochRecord], parked: &[Option<Images>]) {
+        let len = self.sys.config().topology.cores_per_socket;
+        let ways = self.sys.llc_ways();
+        let all_on = vec![true; len];
+        for (d, rec) in recs.iter_mut().enumerate().filter(|(d, _)| parked[*d].is_none()) {
+            let base = d * len;
+            match self.mechanism {
+                // No control: prefetchers on, flat CAT — enforced every
+                // epoch so a baseline run after a managed run is truly
+                // uncontrolled.
+                Mechanism::Baseline => {
+                    backend::apply_prefetch_range_logged(
+                        &mut self.sys,
+                        base,
+                        &all_on,
+                        &mut rec.faults,
+                    );
+                    self.sys.reset_cat_domain(d);
                 }
-            } else {
-                g.note_snapshot(self.sys.control_state());
+                // PT never touches CAT.
+                Mechanism::Pt | Mechanism::PtFine => {}
+                mech => {
+                    // Dunn observes one all-on interval instead of running
+                    // the detector, which turns prefetchers on itself.
+                    if mech == Mechanism::Dunn {
+                        backend::apply_prefetch_range_logged(
+                            &mut self.sys,
+                            base,
+                            &all_on,
+                            &mut rec.faults,
+                        );
+                    }
+                    let flat = PartitionPlan::flat(len, ways).offset(base);
+                    if flat.apply_at(&mut self.sys, base, &mut rec.faults).is_err() {
+                        self.sys.reset_cat_domain(d);
+                    }
+                }
             }
         }
-        if self.mechanism != Mechanism::Baseline {
-            self.overhead_cycles += self.ctrl.overhead_cycles;
+        if self.mechanism == Mechanism::Baseline {
+            return;
         }
-        let n = self.sys.num_cores();
+        let mut log: Vec<FaultRecord> = Vec::new();
+        let dets: Vec<Detection> = if self.mechanism == Mechanism::Dunn {
+            let d1 = backend::sample_logged(&mut self.sys, self.ctrl.sampling_interval, &mut log);
+            d1.chunks(len)
+                .map(|interval1| Detection {
+                    interval1: interval1.to_vec(),
+                    agg: Vec::new(),
+                    friendly: Vec::new(),
+                    unfriendly: Vec::new(),
+                    profiling_cycles: self.ctrl.sampling_interval,
+                })
+                .collect()
+        } else {
+            backend::detect_domains_logged(
+                &mut self.sys,
+                &self.ctrl,
+                &self.det_cfg,
+                &mut log,
+                recs.len(),
+            )
+        };
+        self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
+        let det_starts: Vec<usize> = recs.iter().map(|r| r.faults.len()).collect();
+        route_faults(&mut log, recs, len);
+        // The arms the governor's quarantine and breakers gate: the
+        // coordinated and learned mechanisms.
+        let gated = matches!(
+            self.mechanism,
+            Mechanism::CmmA
+                | Mechanism::CmmB
+                | Mechanism::CmmC
+                | Mechanism::Cbp
+                | Mechanism::MlSel
+                | Mechanism::RlCbp
+        );
+        for (d, (mut det, rec)) in dets.into_iter().zip(recs.iter_mut()).enumerate() {
+            let base = d * len;
+            if let Some((pf_image, mba_image)) = &parked[d] {
+                // The shared detection turned every prefetcher back on:
+                // re-assert the parked domain's register images.
+                self.write_image(base, MSR_MISC_FEATURE_CONTROL, pf_image, &mut rec.faults);
+                if mba_image.iter().any(|&l| l != 0)
+                    && cbp::mba_available(&mut self.sys, base, &mut rec.faults)
+                {
+                    self.write_image(base, MSR_MBA_THROTTLE, mba_image, &mut rec.faults);
+                }
+                continue;
+            }
+            // Governor defense 2: a core whose detection sample was flagged
+            // implausible is quarantined on the spot and keeps its last
+            // trusted classification, so one lying counter cannot steer
+            // this epoch's plan or the searches.
+            if let Some(g) = self.domains[d].governor.as_mut().filter(|_| gated) {
+                g.observe_detection(
+                    &localize(&rec.faults[det_starts[d]..], base, len),
+                    self.sys.now(),
+                );
+                g.filter_detection(&mut det);
+            }
+            rec.cores = samples_of(&det.interval1);
+            self.decide(d, &det, rec);
+            rec.agg = det.agg;
+            rec.friendly = det.friendly;
+            rec.unfriendly = det.unfriendly;
+        }
+    }
+
+    /// Domain `d`'s decision from its (domain-local) detection.
+    fn decide(&mut self, d: usize, det: &Detection, rec: &mut EpochRecord) {
+        let (base, len) = self.span(d);
         let ways = self.sys.llc_ways();
         let min_pc = backend::min_ways_per_core(self.sys.config());
-        // Per-branch decision data, folded into one record at the end.
-        let mut cores: Vec<CoreSample> = Vec::new();
-        let mut agg: Vec<usize> = Vec::new();
-        let mut friendly: Vec<usize> = Vec::new();
-        let mut unfriendly: Vec<usize> = Vec::new();
-        let mut trials: Vec<Trial> = Vec::new();
-        let mut winner: Option<usize> = None;
-        let mut degraded: Option<&'static str> = None;
-        let mut features_vec: Vec<f64> = Vec::new();
-        let mut action_lbl: Option<String> = None;
         match self.mechanism {
-            // A rollback epoch runs the restored last-good state for one
-            // more execution epoch: no profiling, no re-plan.
-            _ if rolled_back => {}
-            Mechanism::Baseline => {
-                // No control: prefetchers on, flat CAT — enforced once so a
-                // baseline run after a managed run is truly uncontrolled.
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                self.sys.reset_cat();
-            }
+            Mechanism::Baseline => unreachable!("the baseline never plans"),
             Mechanism::Pt => {
-                let out = pt::profile(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                self.agg_history.push(out.detection.agg.len());
-                cores = samples_of(&out.detection.interval1);
-                agg = out.detection.agg;
-                friendly = out.detection.friendly;
-                unfriendly = out.detection.unfriendly;
-                trials = out.trials;
-                winner = out.winner;
+                // PT throttles the whole Agg set (friendly included).
+                let groups = self.throttle_groups(&det.agg, det, base);
+                let search = backend::search_throttle_in(
+                    &mut self.sys,
+                    &groups,
+                    self.ctrl.sampling_interval,
+                    &mut rec.faults,
+                    base,
+                    len,
+                );
+                (rec.trials, rec.winner) = (search.trials, search.winner);
             }
             Mechanism::PtFine => {
-                let out = pt::profile_fine(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                self.agg_history.push(out.detection.agg.len());
-                cores = samples_of(&out.detection.interval1);
-                agg = out.detection.agg;
-                friendly = out.detection.friendly;
-                unfriendly = out.detection.unfriendly;
-                trials = out.trials;
-                winner = out.winner;
+                let groups = globalize(
+                    backend::throttle_groups(
+                        &det.agg,
+                        &det.interval1,
+                        pt::FINE_GROUP_CAP,
+                        pt::FINE_GROUP_CAP,
+                    ),
+                    base,
+                );
+                let search = backend::search_throttle_levels_in(
+                    &mut self.sys,
+                    &groups,
+                    &pt::FINE_LEVELS,
+                    self.ctrl.sampling_interval,
+                    &mut rec.faults,
+                    base,
+                    len,
+                );
+                (rec.trials, rec.winner) = (search.trials, search.winner);
             }
             Mechanism::Dunn => {
-                // Dunn observes one all-on interval and clusters stalls.
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let d1 =
-                    backend::sample_logged(&mut self.sys, self.ctrl.sampling_interval, &mut log);
-                let plan = dunn::dunn_plan(&d1, ways, self.ctrl.dunn_clusters);
-                if plan.apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                    degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                }
-                self.agg_history.push(0);
-                cores = samples_of(&d1);
+                let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
+                self.apply_or_noop(plan, d, rec);
             }
             Mechanism::PrefCp | Mechanism::PrefCp2 => {
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
                 let plan = if self.mechanism == Mechanism::PrefCp {
-                    cp::pref_cp_plan(&det, n, ways, self.ctrl.partition_scale, min_pc)
+                    cp::pref_cp_plan(det, len, ways, self.ctrl.partition_scale, min_pc)
                 } else {
-                    cp::pref_cp2_plan(&det, n, ways, self.ctrl.partition_scale, min_pc)
+                    cp::pref_cp2_plan(det, len, ways, self.ctrl.partition_scale, min_pc)
                 };
-                if plan.apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                    degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                }
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
+                self.apply_or_noop(plan, d, rec);
             }
             Mechanism::Mba => {
                 // Bandwidth-only ablation: prefetchers on, flat CAT, MBA
                 // delay-level search over the aggressor throttle groups.
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                if cbp::mba_available(&mut self.sys, 0, &mut log) {
-                    let groups = backend::throttle_groups(
-                        &det.agg,
-                        &det.interval1,
-                        self.ctrl.exhaustive_limit,
-                        self.ctrl.throttle_groups,
-                    );
-                    // detect_logged leaves every prefetcher on.
+                if cbp::mba_available(&mut self.sys, base, &mut rec.faults) {
+                    let groups = self.throttle_groups(&det.agg, det, base);
+                    // The detection left every prefetcher on.
                     let search = cbp::search_mba_levels_in(
                         &mut self.sys,
                         &groups,
                         &cbp::MBA_LEVELS,
-                        &vec![0u64; n],
+                        &vec![0u64; len],
                         self.ctrl.sampling_interval,
-                        &mut log,
-                        0,
-                        n,
+                        &mut rec.faults,
+                        base,
+                        len,
                     );
-                    trials = search.trials;
-                    winner = search.winner;
+                    (rec.trials, rec.winner) = (search.trials, search.winner);
                 } else {
                     // No bandwidth knob: nothing left for the bandwidth-only
                     // mechanism to do.
-                    degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
+                    degrade(rec, self.sys.now(), "fallback_noop");
                 }
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
             }
             Mechanism::CmmA | Mechanism::CmmB | Mechanism::CmmC | Mechanism::Cbp => {
                 let variant = match self.mechanism {
                     Mechanism::CmmB => cmm::Variant::B,
                     Mechanism::CmmC => cmm::Variant::C,
                     // CMM-a and CBP share the paper's plan (a); CBP layers
-                    // the MBA search on top of it below.
+                    // the MBA search on top of it.
                     _ => cmm::Variant::A,
                 };
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det_log_start = log.len();
-                let mut det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                // Governor defense 2: a core whose detection sample was
-                // flagged implausible is quarantined on the spot and keeps
-                // its last trusted classification, so one lying counter
-                // cannot steer this epoch's plan or the searches.
-                if let Some(g) = self.governor.as_mut() {
-                    g.observe_detection(&log[det_log_start..], self.sys.now());
-                    g.filter_detection(&mut det);
-                }
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                // Governor defense 3: consult the breakers before paying a
-                // known-dead register class's per-epoch retry tax.
-                let allow_pf = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Prefetch));
-                let allow_cat = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Cat));
-                let allow_mba = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Mba));
-                match cmm::cmm_plan(variant, &det, n, ways, self.ctrl.partition_scale, min_pc) {
-                    _ if !allow_cat => {
-                        // CAT's breaker is open: every partition plan is
-                        // doomed, so stop paying its per-epoch retry tax —
-                        // but the prefetch and MBA register classes may
-                        // well be alive, and for a prefetch-aggressive mix
-                        // they carry most of the mechanism's value. Pin a
-                        // throttle-only degradation over the flat (reset)
-                        // cache until the breaker closes.
-                        self.sys.reset_cat();
-                        degraded = Some(degrade(&mut log, self.sys.now(), "fallback_throttle"));
-                        let mut pf_image = vec![0u64; n];
-                        if allow_pf {
-                            let groups = backend::throttle_groups(
-                                &det.unfriendly,
-                                &det.interval1,
-                                self.ctrl.exhaustive_limit,
-                                self.ctrl.throttle_groups,
-                            );
-                            let search = backend::search_throttle(
-                                &mut self.sys,
-                                &groups,
-                                self.ctrl.sampling_interval,
-                                &mut log,
-                            );
-                            pf_image =
-                                search.best.iter().map(|&on| if on { 0x0 } else { 0xF }).collect();
-                            trials = search.trials;
-                            winner = search.winner;
-                        }
-                        if self.mechanism == Mechanism::Cbp
-                            && allow_mba
-                            && cbp::mba_available(&mut self.sys, 0, &mut log)
-                        {
-                            let mba_groups = backend::throttle_groups(
-                                &det.agg,
-                                &det.interval1,
-                                self.ctrl.exhaustive_limit,
-                                self.ctrl.throttle_groups,
-                            );
-                            let msearch = cbp::search_mba_levels_in(
-                                &mut self.sys,
-                                &mba_groups,
-                                &cbp::MBA_LEVELS,
-                                &pf_image,
-                                self.ctrl.sampling_interval,
-                                &mut log,
-                                0,
-                                n,
-                            );
-                            if let Some(w) = msearch.winner {
-                                winner = Some(trials.len() + w);
-                            }
-                            trials.extend(msearch.trials);
-                        }
-                    }
-                    Some(plan) => {
-                        // Coordinated order per the paper: partition first,
-                        // then search throttle settings for the unfriendly
-                        // cores inside the partitioned machine.
-                        if plan.apply(&mut self.sys, &mut log).is_ok() {
-                            // detect_logged leaves every prefetcher on; if
-                            // the prefetch breaker is open the search is
-                            // skipped and that all-on image stands.
-                            let mut pf_image = vec![0u64; n];
-                            if allow_pf {
-                                let groups = backend::throttle_groups(
-                                    &det.unfriendly,
-                                    &det.interval1,
-                                    self.ctrl.exhaustive_limit,
-                                    self.ctrl.throttle_groups,
-                                );
-                                let search = backend::search_throttle(
-                                    &mut self.sys,
-                                    &groups,
-                                    self.ctrl.sampling_interval,
-                                    &mut log,
-                                );
-                                pf_image = search
-                                    .best
-                                    .iter()
-                                    .map(|&on| if on { 0x0 } else { 0xF })
-                                    .collect();
-                                trials = search.trials;
-                                winner = search.winner;
-                            }
-                            if self.mechanism == Mechanism::Cbp {
-                                // The hierarchical third stage: with the
-                                // prefetch winner and partition in force,
-                                // search MBA delay levels for the whole
-                                // Agg set. Without the knob, CBP is
-                                // exactly CMM-a.
-                                if allow_mba && cbp::mba_available(&mut self.sys, 0, &mut log) {
-                                    let mba_groups = backend::throttle_groups(
-                                        &det.agg,
-                                        &det.interval1,
-                                        self.ctrl.exhaustive_limit,
-                                        self.ctrl.throttle_groups,
-                                    );
-                                    let msearch = cbp::search_mba_levels_in(
-                                        &mut self.sys,
-                                        &mba_groups,
-                                        &cbp::MBA_LEVELS,
-                                        &pf_image,
-                                        self.ctrl.sampling_interval,
-                                        &mut log,
-                                        0,
-                                        n,
-                                    );
-                                    if let Some(w) = msearch.winner {
-                                        winner = Some(trials.len() + w);
-                                    }
-                                    trials.extend(msearch.trials);
-                                } else {
-                                    degraded =
-                                        Some(degrade(&mut log, self.sys.now(), "fallback_cmm_a"));
-                                }
-                            }
-                        } else {
-                            // The coordinated plan could not be programmed
-                            // (e.g. CLOS exhaustion). Back out to the safe
-                            // state, then retreat down the chain: try the
-                            // less CLOS-hungry Dunn plan; if even that
-                            // fails, stay flat (no-op). Throttle search is
-                            // skipped — coordinated throttling without its
-                            // partition is not the mechanism the paper
-                            // evaluates.
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_dunn"));
-                            let plan =
-                                dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                            if plan.apply(&mut self.sys, &mut log).is_err() {
-                                self.sys.reset_cat();
-                                degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                            }
-                        }
-                    }
-                    None => {
-                        // Fig. 6 (d): empty Agg set ⇒ Dunn partitioning.
-                        let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                        if plan.apply(&mut self.sys, &mut log).is_err() {
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                        }
-                    }
-                }
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
+                self.cmm(variant, self.mechanism == Mechanism::Cbp, det, d, rec);
             }
             Mechanism::MlSel => {
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det_log_start = log.len();
-                let mut det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                if let Some(g) = self.governor.as_mut() {
-                    g.observe_detection(&log[det_log_start..], self.sys.now());
-                    g.filter_detection(&mut det);
-                }
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                features_vec = learned::mean_features(&det.interval1);
-                let allow_pf = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Prefetch));
-                let allow_cat = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Cat));
+                rec.features = learned::mean_features(&det.interval1);
                 // Classify every core; the epoch trusts the model only if
                 // its *least* confident per-core posterior clears the floor.
                 let image: Option<Vec<u64>> = match &self.learner {
@@ -593,7 +574,7 @@ impl<S: Substrate> Driver<S> {
                         let preds: Vec<_> = det
                             .interval1
                             .iter()
-                            .map(|d| model.predict(&learned::core_features(d)))
+                            .map(|delta| model.predict(&learned::core_features(delta)))
                             .collect();
                         let min_conf =
                             preds.iter().map(|p| p.confidence).fold(f64::INFINITY, f64::min);
@@ -602,1073 +583,228 @@ impl<S: Substrate> Driver<S> {
                     }
                     _ => None,
                 };
-                match image {
-                    Some(image) => {
-                        // The zero-trial epoch: CMM-a's partition plan plus
-                        // the classifier's per-core prefetch image — no
-                        // profiling search at all.
-                        if allow_cat {
-                            match cmm::cmm_plan(
-                                cmm::Variant::A,
-                                &det,
-                                n,
-                                ways,
-                                self.ctrl.partition_scale,
-                                min_pc,
-                            ) {
-                                Some(plan) => {
-                                    if plan.apply(&mut self.sys, &mut log).is_err() {
-                                        self.sys.reset_cat();
-                                        degraded = Some(degrade(
-                                            &mut log,
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                                None => {
-                                    // Empty Agg set ⇒ Dunn, as in CMM.
-                                    let plan = dunn::dunn_plan(
-                                        &det.interval1,
-                                        ways,
-                                        self.ctrl.dunn_clusters,
-                                    );
-                                    if plan.apply(&mut self.sys, &mut log).is_err() {
-                                        self.sys.reset_cat();
-                                        degraded = Some(degrade(
-                                            &mut log,
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                            }
-                        } else {
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_throttle"));
-                        }
-                        if allow_pf {
-                            for (c, &img) in image.iter().enumerate() {
-                                let _ = backend::write_msr_logged(
-                                    &mut self.sys,
-                                    c,
-                                    msr::MSR_MISC_FEATURE_CONTROL,
-                                    img,
-                                    &mut log,
-                                );
-                            }
-                        }
-                        action_lbl = Some(pf_label(&image));
-                    }
-                    None => {
-                        // Below the confidence floor (or no model loaded):
-                        // this epoch runs the full CMM-a search instead.
-                        degraded = Some(degrade(&mut log, self.sys.now(), "fallback_cmm_a"));
-                        action_lbl = Some("fallback_cmm_a".into());
-                        let (t, w, d) = self.cmm_a_leg(&det, &mut log, allow_pf, allow_cat);
-                        trials = t;
-                        winner = w;
-                        if d.is_some() {
-                            degraded = d;
-                        }
-                    }
-                }
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
-            }
-            Mechanism::RlCbp => {
-                if self.rl_hold.is_empty() {
-                    self.rl_hold.push(None);
-                }
-                // Credit the action in force with the execution epoch's
-                // hm_ipc delta before picking the next one.
-                if let Some(Learner::Rl(rl)) = self.learner.as_mut() {
-                    if let Some(delta) = exec_ipc_delta {
-                        rl.bandit_mut(0).observe(delta);
-                    }
-                }
-                let holding = matches!(&self.rl_hold[0], Some(h) if h.skip > 0);
-                if holding {
-                    // A stretched action stays in force: no profiling, no
-                    // re-plan — the learned epoch-length knob.
-                    let h = self.rl_hold[0].as_mut().unwrap();
-                    h.skip -= 1;
-                    action_lbl = Some(format!("hold:{}", h.label));
-                } else {
-                    if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                        self.sys.reset_cat();
-                    }
-                    let det_log_start = log.len();
-                    let mut det =
-                        backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                    if let Some(g) = self.governor.as_mut() {
-                        g.observe_detection(&log[det_log_start..], self.sys.now());
-                        g.filter_detection(&mut det);
-                    }
-                    self.agg_history.push(det.agg.len());
-                    cores = samples_of(&det.interval1);
-                    features_vec = learned::mean_features(&det.interval1);
-                    let allow_pf =
-                        self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Prefetch));
-                    let allow_cat = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Cat));
-                    let allow_mba = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Mba));
-                    let chosen = match self.learner.as_mut() {
-                        Some(Learner::Rl(rl)) => {
-                            let b = rl.bandit_mut(0);
-                            // A quiet machine gives the bandit nothing to
-                            // throttle and no usable reward — exploit the
-                            // incumbent instead of burning an exploration
-                            // step it can never evaluate.
-                            Some(if det.agg.is_empty() {
-                                b.exploit(learned::state_of(&det))
-                            } else {
-                                b.select(learned::state_of(&det))
-                            })
-                        }
-                        _ => None,
-                    };
-                    match chosen {
-                        Some(a) => {
-                            let act = learned::decode_action(a);
-                            if act.cat_cmm {
-                                if allow_cat {
-                                    let plan = cmm::cmm_plan(
-                                        cmm::Variant::A,
-                                        &det,
-                                        n,
-                                        ways,
-                                        self.ctrl.partition_scale,
-                                        min_pc,
-                                    )
-                                    .unwrap_or_else(|| {
-                                        // Fig. 6 (d), same as a CMM-a
-                                        // epoch: empty Agg set ⇒ Dunn.
-                                        dunn::dunn_plan(
-                                            &det.interval1,
-                                            ways,
-                                            self.ctrl.dunn_clusters,
-                                        )
-                                    });
-                                    if plan.apply(&mut self.sys, &mut log).is_err() {
-                                        self.sys.reset_cat();
-                                        degraded = Some(degrade(
-                                            &mut log,
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                } else {
-                                    self.sys.reset_cat();
-                                    degraded = Some(degrade(
-                                        &mut log,
-                                        self.sys.now(),
-                                        "fallback_throttle",
-                                    ));
-                                }
-                            }
-                            let mut pf_image = vec![0u64; n];
-                            for &c in &det.unfriendly {
-                                pf_image[c] = act.pf;
-                            }
-                            if allow_pf {
-                                for (c, &img) in pf_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        c,
-                                        msr::MSR_MISC_FEATURE_CONTROL,
-                                        img,
-                                        &mut log,
-                                    );
-                                }
-                            }
-                            let mut mba_image = vec![0u64; n];
-                            for &c in &det.agg {
-                                mba_image[c] = act.mba;
-                            }
-                            if allow_mba && cbp::mba_available(&mut self.sys, 0, &mut log) {
-                                for (c, &lvl) in mba_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        c,
-                                        msr::MSR_MBA_THROTTLE,
-                                        lvl,
-                                        &mut log,
-                                    );
-                                }
-                            }
-                            let label = learned::action_label(&act);
-                            action_lbl = Some(label.clone());
-                            self.rl_hold[0] =
-                                Some(RlHold { skip: act.stretch - 1, pf_image, mba_image, label });
-                        }
-                        None => {
-                            // No policy attached: the full CMM-a epoch.
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_cmm_a"));
-                            action_lbl = Some("fallback_cmm_a".into());
-                            let (t, w, d) = self.cmm_a_leg(&det, &mut log, allow_pf, allow_cat);
-                            trials = t;
-                            winner = w;
-                            if d.is_some() {
-                                degraded = d;
-                            }
-                        }
-                    }
-                    agg = det.agg;
-                    friendly = det.friendly;
-                    unfriendly = det.unfriendly;
-                }
-            }
-        }
-        // Anchor for the next epoch's execution-IPC measurement.
-        let anchor = backend::pmu_read_stable(&mut self.sys, &mut log);
-        self.exec_anchor = Some((self.sys.now(), anchor));
-        // Feed the epoch's fault stream through the breaker/quarantine
-        // state machines and collect the interventions for the journal.
-        let gov_events = match self.governor.as_mut() {
-            Some(g) => {
-                g.observe_faults(&log, self.sys.now());
-                g.take_events()
-            }
-            None => Vec::new(),
-        };
-        self.records.push(EpochRecord {
-            epoch: self.epochs,
-            cycle: epoch_start,
-            mechanism: self.mechanism.label(),
-            domain: None,
-            cores,
-            agg,
-            friendly,
-            unfriendly,
-            trials,
-            winner,
-            exec_hm_ipc,
-            exec_ipc_delta,
-            faults: log,
-            degraded,
-            governor: gov_events,
-            features: features_vec,
-            action: action_lbl,
-            applied: self.sys.control_state(),
-        });
-    }
-
-    /// The CMM-a plan + throttle search the learned mechanisms retreat to
-    /// (ML-Sel below its confidence floor, RL-CBP without a policy). A
-    /// deliberate duplicate of the `CmmA` arm's plan path, kept separate so
-    /// the legacy arm's journal output stays byte-identical.
-    fn cmm_a_leg(
-        &mut self,
-        det: &backend::Detection,
-        log: &mut Vec<FaultRecord>,
-        allow_pf: bool,
-        allow_cat: bool,
-    ) -> (Vec<Trial>, Option<usize>, Option<&'static str>) {
-        let n = self.sys.num_cores();
-        let ways = self.sys.llc_ways();
-        let min_pc = backend::min_ways_per_core(self.sys.config());
-        let mut degraded = None;
-        if !allow_cat {
-            self.sys.reset_cat();
-            degraded = Some(degrade(log, self.sys.now(), "fallback_throttle"));
-        } else {
-            match cmm::cmm_plan(cmm::Variant::A, det, n, ways, self.ctrl.partition_scale, min_pc) {
-                Some(plan) => {
-                    if plan.apply(&mut self.sys, log).is_err() {
-                        // Same retreat chain as CMM-a: Dunn, then no-op —
-                        // and no throttle search without the partition.
-                        self.sys.reset_cat();
-                        degraded = Some(degrade(log, self.sys.now(), "fallback_dunn"));
-                        let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                        if plan.apply(&mut self.sys, log).is_err() {
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(log, self.sys.now(), "fallback_noop"));
-                        }
-                        return (Vec::new(), None, degraded);
-                    }
-                }
-                None => {
-                    // Empty Agg set ⇒ Dunn partitioning, nothing to search.
-                    let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                    if plan.apply(&mut self.sys, log).is_err() {
-                        self.sys.reset_cat();
-                        degraded = Some(degrade(log, self.sys.now(), "fallback_noop"));
-                    }
-                    return (Vec::new(), None, degraded);
-                }
-            }
-        }
-        if allow_pf {
-            let groups = backend::throttle_groups(
-                &det.unfriendly,
-                &det.interval1,
-                self.ctrl.exhaustive_limit,
-                self.ctrl.throttle_groups,
-            );
-            let search =
-                backend::search_throttle(&mut self.sys, &groups, self.ctrl.sampling_interval, log);
-            (search.trials, search.winner, degraded)
-        } else {
-            (Vec::new(), None, degraded)
-        }
-    }
-
-    /// [`Driver::cmm_a_leg`] scoped to one CAT domain (the multi-socket
-    /// learned fallback). The governor is single-socket scoped, so there
-    /// are no breaker gates here — matching the legacy multi-socket arms.
-    fn cmm_a_leg_at(
-        &mut self,
-        det: &backend::Detection,
-        d: usize,
-        base: usize,
-        len: usize,
-        ways: u32,
-        dlog: &mut Vec<FaultRecord>,
-    ) -> (Vec<Trial>, Option<usize>, Option<&'static str>) {
-        let min_pc = backend::min_ways_per_core(self.sys.config());
-        let mut degraded = None;
-        match cmm::cmm_plan(cmm::Variant::A, det, len, ways, self.ctrl.partition_scale, min_pc) {
-            Some(plan) => {
-                if plan.offset(base).apply_at(&mut self.sys, base, dlog).is_err() {
-                    self.sys.reset_cat_domain(d);
-                    degraded = Some(degrade(dlog, self.sys.now(), "fallback_dunn"));
-                    let plan =
-                        dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters).offset(base);
-                    if plan.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                        degraded = Some(degrade(dlog, self.sys.now(), "fallback_noop"));
-                    }
-                    return (Vec::new(), None, degraded);
-                }
-            }
-            None => {
-                let plan =
-                    dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters).offset(base);
-                if plan.apply_at(&mut self.sys, base, dlog).is_err() {
-                    self.sys.reset_cat_domain(d);
-                    degraded = Some(degrade(dlog, self.sys.now(), "fallback_noop"));
-                }
-                return (Vec::new(), None, degraded);
-            }
-        }
-        let groups = globalize(
-            backend::throttle_groups(
-                &det.unfriendly,
-                &det.interval1,
-                self.ctrl.exhaustive_limit,
-                self.ctrl.throttle_groups,
-            ),
-            base,
-        );
-        let search = backend::search_throttle_in(
-            &mut self.sys,
-            &groups,
-            self.ctrl.sampling_interval,
-            dlog,
-            base,
-            len,
-        );
-        (search.trials, search.winner, degraded)
-    }
-
-    /// One profiling epoch on a multi-socket machine: one controller
-    /// instance per CAT domain, run "concurrently" — the detection
-    /// intervals are shared across domains (two machine-wide samples total,
-    /// see [`backend::detect_domains_logged`]), then each domain makes and
-    /// applies its own decision against its socket's CAT state and cores.
-    /// Throttle-search trial intervals do run per domain in sequence (each
-    /// trial must measure its own domain undisturbed), which is also how
-    /// independent per-socket daemons would interleave in wall-clock time.
-    ///
-    /// Appends one [`EpochRecord`] per domain, all stamped with this
-    /// epoch's index and start cycle. Faults are attributed to the domain
-    /// whose controller section observed them; machine-wide faults with a
-    /// core id are routed to that core's domain, core-less ones to domain 0.
-    fn epoch_multi(&mut self) {
-        self.epochs += 1;
-        let epoch_start = self.sys.now();
-        let topo = self.sys.config().topology;
-        let domains = topo.sockets;
-        let len = topo.cores_per_socket;
-        let mut log: Vec<FaultRecord> = Vec::new();
-        let mut dom_logs: Vec<Vec<FaultRecord>> = vec![Vec::new(); domains];
-        // How did the execution epoch each domain just finished perform?
-        let exec_hms: Vec<Option<f64>> = match self.exec_anchor.take() {
-            Some((anchor_cycle, anchor)) if self.sys.now() > anchor_cycle => {
-                let current = backend::pmu_read_stable(&mut self.sys, &mut log);
-                let deltas: Vec<PmuDelta> =
-                    current.iter().zip(anchor).map(|(&c, a)| c - a).collect();
-                (0..domains)
-                    .map(|d| Some(backend::sample_hm_ipc(&deltas[d * len..(d + 1) * len])))
-                    .collect()
-            }
-            _ => vec![None; domains],
-        };
-        if self.prev_exec_hm_dom.len() != domains {
-            self.prev_exec_hm_dom = vec![None; domains];
-        }
-        let exec_deltas: Vec<Option<f64>> = (0..domains)
-            .map(|d| match (exec_hms[d], self.prev_exec_hm_dom[d]) {
-                (Some(cur), Some(prev)) => Some(cur - prev),
-                _ => None,
-            })
-            .collect();
-        for (prev, cur) in self.prev_exec_hm_dom.iter_mut().zip(&exec_hms) {
-            if cur.is_some() {
-                *prev = *cur;
-            }
-        }
-        if self.mechanism != Mechanism::Baseline {
-            // One controller instance per domain does its own bookkeeping.
-            self.overhead_cycles += self.ctrl.overhead_cycles * domains as u64;
-        }
-        let n = self.sys.num_cores();
-        let ways = self.sys.llc_ways();
-        let min_pc = backend::min_ways_per_core(self.sys.config());
-        // Per-domain decision data, folded into one record per domain.
-        #[derive(Default)]
-        struct DomainDecision {
-            cores: Vec<CoreSample>,
-            agg: Vec<usize>,
-            friendly: Vec<usize>,
-            unfriendly: Vec<usize>,
-            trials: Vec<Trial>,
-            winner: Option<usize>,
-            degraded: Option<&'static str>,
-            features: Vec<f64>,
-            action: Option<String>,
-        }
-        let mut outs: Vec<DomainDecision> =
-            (0..domains).map(|_| DomainDecision::default()).collect();
-        match self.mechanism {
-            Mechanism::Baseline => {
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                self.sys.reset_cat();
-            }
-            Mechanism::Pt | Mechanism::PtFine => {
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    let dlog = &mut dom_logs[d];
-                    // PT throttles the whole Agg set (friendly included).
-                    let groups = globalize(
-                        backend::throttle_groups(
-                            &det.agg,
-                            &det.interval1,
-                            self.ctrl.exhaustive_limit,
-                            self.ctrl.throttle_groups,
-                        ),
-                        base,
-                    );
-                    let (trials, winner) = if self.mechanism == Mechanism::Pt {
-                        let s = backend::search_throttle_in(
-                            &mut self.sys,
-                            &groups,
-                            self.ctrl.sampling_interval,
-                            dlog,
-                            base,
-                            len,
-                        );
-                        (s.trials, s.winner)
-                    } else {
-                        let s = backend::search_throttle_levels_in(
-                            &mut self.sys,
-                            &groups,
-                            &pt::FINE_LEVELS,
-                            self.ctrl.sampling_interval,
-                            dlog,
-                            base,
-                            len,
-                        );
-                        (s.trials, s.winner)
-                    };
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                    outs[d].trials = trials;
-                    outs[d].winner = winner;
-                }
-            }
-            Mechanism::Dunn => {
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let d1 =
-                    backend::sample_logged(&mut self.sys, self.ctrl.sampling_interval, &mut log);
-                self.agg_history.push(0);
-                route_faults(&mut log, &mut dom_logs, len);
-                for d in 0..domains {
-                    let base = d * len;
-                    let local = &d1[base..base + len];
-                    let plan = dunn::dunn_plan(local, ways, self.ctrl.dunn_clusters).offset(base);
-                    if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                        self.sys.reset_cat_domain(d);
-                        outs[d].degraded =
-                            Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_noop"));
-                    }
-                    outs[d].cores = samples_of(local);
-                }
-            }
-            Mechanism::PrefCp | Mechanism::PrefCp2 => {
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    let plan = if self.mechanism == Mechanism::PrefCp {
-                        cp::pref_cp_plan(&det, len, ways, self.ctrl.partition_scale, min_pc)
-                    } else {
-                        cp::pref_cp2_plan(&det, len, ways, self.ctrl.partition_scale, min_pc)
-                    };
-                    if plan.offset(base).apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                        self.sys.reset_cat_domain(d);
-                        outs[d].degraded =
-                            Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_noop"));
-                    }
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
-            }
-            Mechanism::Mba => {
-                // Bandwidth-only ablation per domain: flat CAT, prefetchers
-                // on, MBA search over each domain's aggressor groups.
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    if cbp::mba_available(&mut self.sys, base, &mut dom_logs[d]) {
-                        let groups = globalize(
-                            backend::throttle_groups(
-                                &det.agg,
-                                &det.interval1,
-                                self.ctrl.exhaustive_limit,
-                                self.ctrl.throttle_groups,
-                            ),
-                            base,
-                        );
-                        let search = cbp::search_mba_levels_in(
-                            &mut self.sys,
-                            &groups,
-                            &cbp::MBA_LEVELS,
-                            &vec![0u64; len],
-                            self.ctrl.sampling_interval,
-                            &mut dom_logs[d],
-                            base,
-                            len,
-                        );
-                        outs[d].trials = search.trials;
-                        outs[d].winner = search.winner;
-                    } else {
-                        outs[d].degraded =
-                            Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_noop"));
-                    }
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
-            }
-            Mechanism::CmmA | Mechanism::CmmB | Mechanism::CmmC | Mechanism::Cbp => {
-                let variant = match self.mechanism {
-                    Mechanism::CmmB => cmm::Variant::B,
-                    Mechanism::CmmC => cmm::Variant::C,
-                    // CMM-a and CBP share plan (a); CBP layers the MBA
-                    // search per domain below.
-                    _ => cmm::Variant::A,
+                // Below the confidence floor (or no model loaded): this
+                // epoch runs the full CMM-a search instead.
+                let Some(image) = image else {
+                    return self.cmm_a_fallback(det, d, rec);
                 };
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
+                // The zero-trial epoch: CMM-a's partition plan plus the
+                // classifier's per-core prefetch image — no profiling
+                // search at all.
+                self.partition_cmm_a(det, d, rec);
+                if self.allow(d, RegClass::Prefetch) {
+                    self.write_image(base, MSR_MISC_FEATURE_CONTROL, &image, &mut rec.faults);
                 }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    outs[d].cores = samples_of(&det.interval1);
-                    match cmm::cmm_plan(variant, &det, len, ways, self.ctrl.partition_scale, min_pc)
-                    {
-                        Some(plan) => {
-                            if plan
-                                .offset(base)
-                                .apply_at(&mut self.sys, base, &mut dom_logs[d])
-                                .is_ok()
-                            {
-                                let groups = globalize(
-                                    backend::throttle_groups(
-                                        &det.unfriendly,
-                                        &det.interval1,
-                                        self.ctrl.exhaustive_limit,
-                                        self.ctrl.throttle_groups,
-                                    ),
-                                    base,
-                                );
-                                let search = backend::search_throttle_in(
-                                    &mut self.sys,
-                                    &groups,
-                                    self.ctrl.sampling_interval,
-                                    &mut dom_logs[d],
-                                    base,
-                                    len,
-                                );
-                                outs[d].trials = search.trials;
-                                outs[d].winner = search.winner;
-                                if self.mechanism == Mechanism::Cbp {
-                                    if cbp::mba_available(&mut self.sys, base, &mut dom_logs[d]) {
-                                        let pf_image: Vec<u64> = search
-                                            .best
-                                            .iter()
-                                            .map(|&on| if on { 0x0 } else { 0xF })
-                                            .collect();
-                                        let mba_groups = globalize(
-                                            backend::throttle_groups(
-                                                &det.agg,
-                                                &det.interval1,
-                                                self.ctrl.exhaustive_limit,
-                                                self.ctrl.throttle_groups,
-                                            ),
-                                            base,
-                                        );
-                                        let msearch = cbp::search_mba_levels_in(
-                                            &mut self.sys,
-                                            &mba_groups,
-                                            &cbp::MBA_LEVELS,
-                                            &pf_image,
-                                            self.ctrl.sampling_interval,
-                                            &mut dom_logs[d],
-                                            base,
-                                            len,
-                                        );
-                                        if let Some(w) = msearch.winner {
-                                            outs[d].winner = Some(outs[d].trials.len() + w);
-                                        }
-                                        outs[d].trials.extend(msearch.trials);
-                                    } else {
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_cmm_a",
-                                        ));
-                                    }
-                                }
-                            } else {
-                                // Same retreat chain as the single-socket
-                                // path, scoped to this domain's CAT state.
-                                self.sys.reset_cat_domain(d);
-                                outs[d].degraded = Some(degrade(
-                                    &mut dom_logs[d],
-                                    self.sys.now(),
-                                    "fallback_dunn",
-                                ));
-                                let plan =
-                                    dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters)
-                                        .offset(base);
-                                if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                                    self.sys.reset_cat_domain(d);
-                                    outs[d].degraded = Some(degrade(
-                                        &mut dom_logs[d],
-                                        self.sys.now(),
-                                        "fallback_noop",
-                                    ));
-                                }
-                            }
-                        }
-                        None => {
-                            let plan =
-                                dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters)
-                                    .offset(base);
-                            if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                                self.sys.reset_cat_domain(d);
-                                outs[d].degraded = Some(degrade(
-                                    &mut dom_logs[d],
-                                    self.sys.now(),
-                                    "fallback_noop",
-                                ));
-                            }
-                        }
-                    }
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
-            }
-            Mechanism::MlSel => {
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].features = learned::mean_features(&det.interval1);
-                    let image: Option<Vec<u64>> = match &self.learner {
-                        Some(Learner::Ml { model, floor }) => {
-                            let preds: Vec<_> = det
-                                .interval1
-                                .iter()
-                                .map(|delta| model.predict(&learned::core_features(delta)))
-                                .collect();
-                            let min_conf =
-                                preds.iter().map(|p| p.confidence).fold(f64::INFINITY, f64::min);
-                            (min_conf >= *floor)
-                                .then(|| preds.iter().map(|p| model.labels[p.class]).collect())
-                        }
-                        _ => None,
-                    };
-                    match image {
-                        Some(image) => {
-                            match cmm::cmm_plan(
-                                cmm::Variant::A,
-                                &det,
-                                len,
-                                ways,
-                                self.ctrl.partition_scale,
-                                min_pc,
-                            ) {
-                                Some(plan) => {
-                                    if plan
-                                        .offset(base)
-                                        .apply_at(&mut self.sys, base, &mut dom_logs[d])
-                                        .is_err()
-                                    {
-                                        self.sys.reset_cat_domain(d);
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                                None => {
-                                    let plan = dunn::dunn_plan(
-                                        &det.interval1,
-                                        ways,
-                                        self.ctrl.dunn_clusters,
-                                    )
-                                    .offset(base);
-                                    if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err()
-                                    {
-                                        self.sys.reset_cat_domain(d);
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                            }
-                            for (c, &img) in image.iter().enumerate() {
-                                let _ = backend::write_msr_logged(
-                                    &mut self.sys,
-                                    base + c,
-                                    msr::MSR_MISC_FEATURE_CONTROL,
-                                    img,
-                                    &mut dom_logs[d],
-                                );
-                            }
-                            outs[d].action = Some(pf_label(&image));
-                        }
-                        None => {
-                            outs[d].degraded =
-                                Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_cmm_a"));
-                            outs[d].action = Some("fallback_cmm_a".into());
-                            let (t, w, dg) =
-                                self.cmm_a_leg_at(&det, d, base, len, ways, &mut dom_logs[d]);
-                            outs[d].trials = t;
-                            outs[d].winner = w;
-                            if dg.is_some() {
-                                outs[d].degraded = dg;
-                            }
-                        }
-                    }
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
+                rec.action = Some(pf_label(&image));
             }
             Mechanism::RlCbp => {
-                if self.rl_hold.len() != domains {
-                    self.rl_hold = (0..domains).map(|_| None).collect();
+                rec.features = learned::mean_features(&det.interval1);
+                let chosen = match self.learner.as_mut() {
+                    Some(Learner::Rl(rl)) => {
+                        let b = rl.bandit_mut(d);
+                        // A quiet domain gives the bandit nothing to
+                        // throttle and no usable reward — exploit the
+                        // incumbent instead of burning an exploration step
+                        // it can never evaluate.
+                        Some(if det.agg.is_empty() {
+                            b.exploit(learned::state_of(det))
+                        } else {
+                            b.select(learned::state_of(det))
+                        })
+                    }
+                    _ => None,
+                };
+                // No policy attached: the full CMM-a epoch.
+                let Some(a) = chosen else {
+                    return self.cmm_a_fallback(det, d, rec);
+                };
+                let act = learned::decode_action(a);
+                if act.cat_cmm {
+                    self.partition_cmm_a(det, d, rec);
                 }
-                // Credit each domain's action in force with its execution
-                // epoch's hm_ipc delta.
-                if let Some(Learner::Rl(rl)) = self.learner.as_mut() {
-                    for (d, delta) in exec_deltas.iter().enumerate() {
-                        if let Some(delta) = delta {
-                            rl.bandit_mut(d).observe(*delta);
-                        }
-                    }
+                let mut pf_image = vec![0u64; len];
+                for &c in &det.unfriendly {
+                    pf_image[c] = act.pf;
                 }
-                let all_hold =
-                    (0..domains).all(|d| matches!(&self.rl_hold[d], Some(h) if h.skip > 0));
-                if all_hold {
-                    // Every domain's action is stretched: no profiling at
-                    // all this epoch.
-                    for (d, out) in outs.iter_mut().enumerate() {
-                        let h = self.rl_hold[d].as_mut().unwrap();
-                        h.skip -= 1;
-                        out.action = Some(format!("hold:{}", h.label));
-                    }
-                } else {
-                    for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                        // Held partitions persist; only re-planning domains
-                        // reset to flat.
-                        if !matches!(&self.rl_hold[d], Some(h) if h.skip > 0) {
-                            let base = d * len;
-                            let flat = PartitionPlan::flat(len, ways).offset(base);
-                            if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                                self.sys.reset_cat_domain(d);
-                            }
-                        }
-                    }
-                    let dets = backend::detect_domains_logged(
-                        &mut self.sys,
-                        &self.ctrl,
-                        &self.det_cfg,
-                        &mut log,
-                        domains,
-                    );
-                    self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                    route_faults(&mut log, &mut dom_logs, len);
-                    for (d, det) in dets.into_iter().enumerate() {
-                        let base = d * len;
-                        if matches!(&self.rl_hold[d], Some(h) if h.skip > 0) {
-                            // The shared detection interval turned every
-                            // prefetcher back on: re-assert the held
-                            // action's register images and keep holding.
-                            let mut h = self.rl_hold[d].take().unwrap();
-                            for (c, &img) in h.pf_image.iter().enumerate() {
-                                let _ = backend::write_msr_logged(
-                                    &mut self.sys,
-                                    base + c,
-                                    msr::MSR_MISC_FEATURE_CONTROL,
-                                    img,
-                                    &mut dom_logs[d],
-                                );
-                            }
-                            if h.mba_image.iter().any(|&l| l != 0)
-                                && cbp::mba_available(&mut self.sys, base, &mut dom_logs[d])
-                            {
-                                for (c, &lvl) in h.mba_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        base + c,
-                                        msr::MSR_MBA_THROTTLE,
-                                        lvl,
-                                        &mut dom_logs[d],
-                                    );
-                                }
-                            }
-                            h.skip -= 1;
-                            outs[d].action = Some(format!("hold:{}", h.label));
-                            self.rl_hold[d] = Some(h);
-                            continue;
-                        }
-                        outs[d].cores = samples_of(&det.interval1);
-                        outs[d].features = learned::mean_features(&det.interval1);
-                        let chosen = match self.learner.as_mut() {
-                            Some(Learner::Rl(rl)) => {
-                                let b = rl.bandit_mut(d);
-                                // Quiet domain: exploit, don't explore
-                                // (same rationale as the single-socket
-                                // arm above).
-                                Some(if det.agg.is_empty() {
-                                    b.exploit(learned::state_of(&det))
-                                } else {
-                                    b.select(learned::state_of(&det))
-                                })
-                            }
-                            _ => None,
-                        };
-                        match chosen {
-                            Some(a) => {
-                                let act = learned::decode_action(a);
-                                if act.cat_cmm {
-                                    let plan = cmm::cmm_plan(
-                                        cmm::Variant::A,
-                                        &det,
-                                        len,
-                                        ways,
-                                        self.ctrl.partition_scale,
-                                        min_pc,
-                                    )
-                                    .unwrap_or_else(|| {
-                                        // Fig. 6 (d), same as a CMM-a
-                                        // epoch: empty Agg set ⇒ Dunn.
-                                        dunn::dunn_plan(
-                                            &det.interval1,
-                                            ways,
-                                            self.ctrl.dunn_clusters,
-                                        )
-                                    });
-                                    if plan
-                                        .offset(base)
-                                        .apply_at(&mut self.sys, base, &mut dom_logs[d])
-                                        .is_err()
-                                    {
-                                        self.sys.reset_cat_domain(d);
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                                let mut pf_image = vec![0u64; len];
-                                for &c in &det.unfriendly {
-                                    pf_image[c] = act.pf;
-                                }
-                                for (c, &img) in pf_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        base + c,
-                                        msr::MSR_MISC_FEATURE_CONTROL,
-                                        img,
-                                        &mut dom_logs[d],
-                                    );
-                                }
-                                let mut mba_image = vec![0u64; len];
-                                for &c in &det.agg {
-                                    mba_image[c] = act.mba;
-                                }
-                                if cbp::mba_available(&mut self.sys, base, &mut dom_logs[d]) {
-                                    for (c, &lvl) in mba_image.iter().enumerate() {
-                                        let _ = backend::write_msr_logged(
-                                            &mut self.sys,
-                                            base + c,
-                                            msr::MSR_MBA_THROTTLE,
-                                            lvl,
-                                            &mut dom_logs[d],
-                                        );
-                                    }
-                                }
-                                let label = learned::action_label(&act);
-                                outs[d].action = Some(label.clone());
-                                self.rl_hold[d] = Some(RlHold {
-                                    skip: act.stretch - 1,
-                                    pf_image,
-                                    mba_image,
-                                    label,
-                                });
-                            }
-                            None => {
-                                outs[d].degraded = Some(degrade(
-                                    &mut dom_logs[d],
-                                    self.sys.now(),
-                                    "fallback_cmm_a",
-                                ));
-                                outs[d].action = Some("fallback_cmm_a".into());
-                                let (t, w, dg) =
-                                    self.cmm_a_leg_at(&det, d, base, len, ways, &mut dom_logs[d]);
-                                outs[d].trials = t;
-                                outs[d].winner = w;
-                                if dg.is_some() {
-                                    outs[d].degraded = dg;
-                                }
-                            }
-                        }
-                        outs[d].agg = det.agg;
-                        outs[d].friendly = det.friendly;
-                        outs[d].unfriendly = det.unfriendly;
-                    }
+                if self.allow(d, RegClass::Prefetch) {
+                    self.write_image(base, MSR_MISC_FEATURE_CONTROL, &pf_image, &mut rec.faults);
                 }
+                let mut mba_image = vec![0u64; len];
+                for &c in &det.agg {
+                    mba_image[c] = act.mba;
+                }
+                if self.allow(d, RegClass::Mba)
+                    && cbp::mba_available(&mut self.sys, base, &mut rec.faults)
+                {
+                    self.write_image(base, MSR_MBA_THROTTLE, &mba_image, &mut rec.faults);
+                }
+                let label = learned::action_label(&act);
+                rec.action = Some(label.clone());
+                self.domains[d].rl_hold =
+                    Some(RlHold { skip: act.stretch - 1, pf_image, mba_image, label });
             }
         }
-        // Anchor for the next epoch's execution-IPC measurement.
-        let anchor = backend::pmu_read_stable(&mut self.sys, &mut log);
-        self.exec_anchor = Some((self.sys.now(), anchor));
-        route_faults(&mut log, &mut dom_logs, len);
-        let applied = self.sys.control_state();
-        for (d, out) in outs.into_iter().enumerate() {
-            let base = d * len;
-            self.records.push(EpochRecord {
-                epoch: self.epochs,
-                cycle: epoch_start,
-                mechanism: self.mechanism.label(),
-                domain: Some(d),
-                cores: out.cores,
-                agg: out.agg,
-                friendly: out.friendly,
-                unfriendly: out.unfriendly,
-                trials: out.trials,
-                winner: out.winner,
-                exec_hm_ipc: exec_hms[d],
-                exec_ipc_delta: exec_deltas[d],
-                faults: std::mem::take(&mut dom_logs[d]),
-                degraded: out.degraded,
-                // The governor is single-socket scoped for now; a
-                // per-domain governor is future work.
-                governor: Vec::new(),
-                features: out.features,
-                action: out.action,
-                applied: applied[base..base + len].to_vec(),
-            });
+    }
+
+    /// The coordinated CMM leg on domain `d`, shared by CMM-a/b/c, CBP
+    /// (`mba_stage`) and the learned mechanisms' CMM-a fallback. In the
+    /// paper's order it partitions first, then searches throttle settings
+    /// for the unfriendly cores inside the partitioned domain; CBP then
+    /// searches MBA delay levels for the whole `Agg` set on top.
+    fn cmm(
+        &mut self,
+        variant: cmm::Variant,
+        mba_stage: bool,
+        det: &Detection,
+        d: usize,
+        rec: &mut EpochRecord,
+    ) {
+        let (base, len) = self.span(d);
+        let ways = self.sys.llc_ways();
+        // Governor defense 3: consult the breakers before paying a
+        // known-dead register class's per-epoch retry tax.
+        let allow_cat = self.allow(d, RegClass::Cat);
+        if allow_cat {
+            let min_pc = backend::min_ways_per_core(self.sys.config());
+            let applied = cmm::cmm_plan(variant, det, len, ways, self.ctrl.partition_scale, min_pc)
+                .map(|plan| plan.offset(base).apply_at(&mut self.sys, base, &mut rec.faults));
+            if !matches!(applied, Some(Ok(()))) {
+                if applied.is_some() {
+                    // The coordinated plan could not be programmed (e.g.
+                    // CLOS exhaustion). Back out to the safe state, then
+                    // retreat down the chain: try the less CLOS-hungry Dunn
+                    // plan; if even that fails, stay flat (no-op). Throttle
+                    // search is skipped — coordinated throttling without
+                    // its partition is not the mechanism the paper
+                    // evaluates.
+                    self.sys.reset_cat_domain(d);
+                    degrade(rec, self.sys.now(), "fallback_dunn");
+                }
+                // Fig. 6 (d): an empty Agg set means Dunn partitioning too,
+                // with nothing to search.
+                let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
+                return self.apply_or_noop(plan, d, rec);
+            }
+        } else {
+            // CAT's breaker is open: every partition plan is doomed, so
+            // stop paying its per-epoch retry tax — but the prefetch and
+            // MBA register classes may well be alive, and for a
+            // prefetch-aggressive mix they carry most of the mechanism's
+            // value. Pin a throttle-only degradation over the flat (reset)
+            // cache until the breaker closes.
+            self.sys.reset_cat_domain(d);
+            degrade(rec, self.sys.now(), "fallback_throttle");
         }
+        // The detection left every prefetcher on; if the prefetch breaker
+        // is open the search is skipped and that all-on image stands.
+        let mut pf_image = vec![0u64; len];
+        if self.allow(d, RegClass::Prefetch) {
+            let groups = self.throttle_groups(&det.unfriendly, det, base);
+            let search = backend::search_throttle_in(
+                &mut self.sys,
+                &groups,
+                self.ctrl.sampling_interval,
+                &mut rec.faults,
+                base,
+                len,
+            );
+            pf_image = search.best.iter().map(|&on| if on { 0x0 } else { 0xF }).collect();
+            (rec.trials, rec.winner) = (search.trials, search.winner);
+        }
+        if !mba_stage {
+            return;
+        }
+        // The hierarchical third stage: with the prefetch winner and
+        // partition in force, search MBA delay levels for the whole Agg
+        // set. Without the knob, CBP is exactly CMM-a.
+        if self.allow(d, RegClass::Mba) && cbp::mba_available(&mut self.sys, base, &mut rec.faults)
+        {
+            let groups = self.throttle_groups(&det.agg, det, base);
+            let search = cbp::search_mba_levels_in(
+                &mut self.sys,
+                &groups,
+                &cbp::MBA_LEVELS,
+                &pf_image,
+                self.ctrl.sampling_interval,
+                &mut rec.faults,
+                base,
+                len,
+            );
+            if let Some(w) = search.winner {
+                rec.winner = Some(rec.trials.len() + w);
+            }
+            rec.trials.extend(search.trials);
+        } else if allow_cat {
+            degrade(rec, self.sys.now(), "fallback_cmm_a");
+        }
+    }
+
+    /// The CMM-a search the learned mechanisms retreat to (ML-Sel below
+    /// its confidence floor, RL-CBP without a policy), journaled as
+    /// `fallback_cmm_a`.
+    fn cmm_a_fallback(&mut self, det: &Detection, d: usize, rec: &mut EpochRecord) {
+        degrade(rec, self.sys.now(), "fallback_cmm_a");
+        rec.action = Some("fallback_cmm_a".into());
+        self.cmm(cmm::Variant::A, false, det, d, rec);
+    }
+
+    /// CMM-a's partition plan (Dunn's on an empty `Agg` set) without any
+    /// search — the learned mechanisms' zero-trial CAT step. An open CAT
+    /// breaker leaves the domain flat instead.
+    fn partition_cmm_a(&mut self, det: &Detection, d: usize, rec: &mut EpochRecord) {
+        if !self.allow(d, RegClass::Cat) {
+            self.sys.reset_cat_domain(d);
+            degrade(rec, self.sys.now(), "fallback_throttle");
+            return;
+        }
+        let (_, len) = self.span(d);
+        let ways = self.sys.llc_ways();
+        let min_pc = backend::min_ways_per_core(self.sys.config());
+        let plan =
+            cmm::cmm_plan(cmm::Variant::A, det, len, ways, self.ctrl.partition_scale, min_pc)
+                .unwrap_or_else(|| dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters));
+        self.apply_or_noop(plan, d, rec);
+    }
+
+    /// Programs a domain-local plan on domain `d`; a plan that cannot be
+    /// programmed leaves the domain flat and degrades the epoch to no-op.
+    fn apply_or_noop(&mut self, plan: PartitionPlan, d: usize, rec: &mut EpochRecord) {
+        let (base, _) = self.span(d);
+        if plan.offset(base).apply_at(&mut self.sys, base, &mut rec.faults).is_err() {
+            self.sys.reset_cat_domain(d);
+            degrade(rec, self.sys.now(), "fallback_noop");
+        }
+    }
+
+    /// Writes a domain-local per-core register image: `image[i]` goes to
+    /// core `base + i`.
+    fn write_image(&mut self, base: usize, msr: u32, image: &[u64], log: &mut Vec<FaultRecord>) {
+        for (i, &value) in image.iter().enumerate() {
+            let _ = backend::write_msr_logged(&mut self.sys, base + i, msr, value, log);
+        }
+    }
+
+    /// Throttle groups over the domain-local `cores`, lifted to global ids.
+    fn throttle_groups(&self, cores: &[usize], det: &Detection, base: usize) -> Vec<Vec<usize>> {
+        let groups = backend::throttle_groups(
+            cores,
+            &det.interval1,
+            self.ctrl.exhaustive_limit,
+            self.ctrl.throttle_groups,
+        );
+        globalize(groups, base)
+    }
+
+    /// True while domain `d`'s breaker for `class` is closed (always,
+    /// without a governor).
+    fn allow(&self, d: usize, class: RegClass) -> bool {
+        self.domains[d].governor.as_ref().is_none_or(|g| g.allow(class))
+    }
+
+    /// `(base, len)`: domain `d`'s first global core id and core count.
+    fn span(&self, d: usize) -> (usize, usize) {
+        let len = self.sys.config().topology.cores_per_socket;
+        (d * len, len)
     }
 }
 
@@ -1678,25 +814,40 @@ fn pf_label(image: &[u64]) -> String {
     format!("pf=[{}]", imgs.join(","))
 }
 
-/// Records an epoch-level degradation decision and returns its label for
-/// [`EpochRecord::degraded`].
-fn degrade(log: &mut Vec<FaultRecord>, cycle: u64, action: &'static str) -> &'static str {
-    log.push(FaultRecord { cycle, kind: "degraded", core: None, msr: None, action });
-    match action {
+/// Records an epoch-level degradation decision in a domain's record: the
+/// fault-stream entry plus the [`EpochRecord::degraded`] label.
+fn degrade(rec: &mut EpochRecord, cycle: u64, action: &'static str) {
+    rec.faults.push(FaultRecord { cycle, kind: "degraded", core: None, msr: None, action });
+    rec.degraded = Some(match action {
         "fallback_cmm_a" => "CMM-a",
         "fallback_dunn" => "Dunn",
         "fallback_throttle" => "throttle-only",
         _ => "no-op",
+    });
+}
+
+/// Moves faults from a machine-wide phase into the per-domain records:
+/// faults naming a core go to that core's domain, core-less ones to
+/// domain 0.
+fn route_faults(log: &mut Vec<FaultRecord>, recs: &mut [EpochRecord], len: usize) {
+    for f in log.drain(..) {
+        let d = f.core.map_or(0, |c| (c / len).min(recs.len() - 1));
+        recs[d].faults.push(f);
     }
 }
 
-/// Moves faults from a machine-wide phase into the per-domain logs: faults
-/// naming a core go to that core's domain, core-less ones to domain 0.
-fn route_faults(log: &mut Vec<FaultRecord>, dom_logs: &mut [Vec<FaultRecord>], len: usize) {
-    for f in log.drain(..) {
-        let d = f.core.map_or(0, |c| (c / len).min(dom_logs.len() - 1));
-        dom_logs[d].push(f);
-    }
+/// A domain's fault records with domain-local core ids — the ids its
+/// governor indexes quarantine by. A sample taken during the domain's own
+/// trial interval can still flag a core of another domain; that record
+/// keeps its place in the stream but names no core.
+fn localize(faults: &[FaultRecord], base: usize, len: usize) -> Vec<FaultRecord> {
+    faults
+        .iter()
+        .map(|f| FaultRecord {
+            core: f.core.and_then(|c| c.checked_sub(base)).filter(|&c| c < len),
+            ..f.clone()
+        })
+        .collect()
 }
 
 /// Lifts socket-local throttle groups to global core ids (`+ base`).
@@ -2009,7 +1160,7 @@ mod tests {
         // Arm the governor by hand: a fault was observed and the
         // last-known-good hm_ipc is implausibly high, so the next
         // measurement reads as a regression past the bound.
-        let g = drv.governor.as_mut().unwrap();
+        let g = drv.domains[0].governor.as_mut().unwrap();
         g.accept(1e6);
         g.observe_faults(
             &[FaultRecord {
@@ -2021,13 +1172,13 @@ mod tests {
             }],
             0,
         );
-        let snapshot = drv.governor.as_ref().unwrap().snapshot().unwrap().to_vec();
+        let snapshot = drv.governor(0).unwrap().snapshot().unwrap().to_vec();
         drv.system_mut().run(100_000);
         drv.epoch();
         let rec = &drv.records()[before..].last().unwrap();
         assert!(rec.governor.iter().any(|e| e.action == "rollback"), "{:?}", rec.governor);
         assert!(rec.faults.iter().any(|f| f.action == "kept_last_good"), "{:?}", rec.faults);
-        assert_eq!(drv.governor().unwrap().rollbacks(), 1);
+        assert_eq!(drv.governor(0).unwrap().rollbacks(), 1);
         // The rollback epoch re-runs the restored state: no profiling, no
         // re-plan, and the applied read-back equals the snapshot.
         assert!(rec.cores.is_empty() && rec.trials.is_empty());
@@ -2050,7 +1201,7 @@ mod tests {
         let mut drv = Driver::new(mk(), Mechanism::CmmA, ControllerConfig::quick())
             .with_governor(GovernorConfig::new(1));
         drv.system_mut().run(600_000);
-        drv.governor.as_mut().unwrap().observe_faults(
+        drv.domains[0].governor.as_mut().unwrap().observe_faults(
             &[FaultRecord {
                 cycle: 0,
                 kind: "pmu_anomaly",
@@ -2192,7 +1343,7 @@ mod tests {
         drv.epoch();
         // Force a stretch by hand: the held action must skip the next
         // epoch's profiling entirely.
-        drv.rl_hold[0].as_mut().unwrap().skip = 1;
+        drv.domains[0].rl_hold.as_mut().unwrap().skip = 1;
         drv.system_mut().run(200_000);
         drv.epoch();
         let rec = drv.records().last().unwrap();
@@ -2229,6 +1380,190 @@ mod tests {
         }
         for pair in recs.windows(2) {
             assert!(pair[0].cycle < pair[1].cycle, "cycles must advance");
+        }
+    }
+
+    /// A 2x4 machine (two sockets, four cores each) running `names` on
+    /// both sockets.
+    fn two_socket_with(names: [&str; 4]) -> System {
+        let mut cfg = SystemConfig::scaled(8);
+        cfg.set_topology("2x4".parse().unwrap());
+        let llc = cfg.llc.size_bytes;
+        let ws: Vec<Box<dyn Workload + Send>> = names
+            .iter()
+            .chain(&names)
+            .enumerate()
+            .map(|(i, n)| {
+                Box::new(spec::by_name(n).unwrap().instantiate(llc, (i as u64 + 1) << 36, 11))
+                    as Box<dyn Workload + Send>
+            })
+            .collect();
+        System::new(cfg, ws)
+    }
+
+    const MIX: [&str; 4] = ["bwaves3d", "rand_access", "mcf_refine", "povray_rt"];
+
+    #[test]
+    fn every_mechanism_journals_one_record_per_domain() {
+        for mech in [
+            Mechanism::Baseline,
+            Mechanism::Pt,
+            Mechanism::PtFine,
+            Mechanism::Dunn,
+            Mechanism::PrefCp,
+            Mechanism::PrefCp2,
+            Mechanism::Mba,
+            Mechanism::CmmA,
+            Mechanism::CmmB,
+            Mechanism::CmmC,
+            Mechanism::Cbp,
+            Mechanism::MlSel,
+            Mechanism::RlCbp,
+        ] {
+            let mut drv = Driver::new(two_socket_with(MIX), mech, ControllerConfig::quick());
+            drv.system_mut().run(300_000);
+            drv.epoch();
+            drv.system_mut().run(100_000);
+            drv.epoch();
+            let recs = drv.records();
+            assert_eq!(recs.len(), 4, "{mech:?}: one record per domain per epoch");
+            let state = drv.system().control_state();
+            for (i, r) in recs.iter().enumerate() {
+                assert_eq!(r.epoch, i as u64 / 2 + 1, "{mech:?}");
+                assert_eq!(r.domain, Some(i % 2), "{mech:?}");
+                assert_eq!(r.mechanism, mech.label());
+                assert_eq!(r.applied.len(), 4, "{mech:?}: applied is sliced to the domain");
+                if mech != Mechanism::Baseline {
+                    assert_eq!(r.cores.len(), 4, "{mech:?}: domain-local samples");
+                }
+                assert!(r.agg.iter().chain(&r.friendly).chain(&r.unfriendly).all(|&c| c < 4));
+                assert!(r.trials.iter().all(|t| t.msr_1a4.len() == 4), "{mech:?}");
+            }
+            // The last epoch's read-back is the machine's state, domain by
+            // domain.
+            for r in &recs[2..] {
+                let base = r.domain.unwrap() * 4;
+                assert_eq!(r.applied, state[base..base + 4], "{mech:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn governed_multi_socket_run_journals_per_domain_breaker_events() {
+        use crate::fault::{FaultConfig, FaultySubstrate};
+        // Every MBA write fails: each domain's own governor must see its
+        // own socket's hard failures and open its own MBA breaker.
+        let faulty = FaultySubstrate::new(two_socket_with(MIX), FaultConfig::mba_only(7, 1.0));
+        let mut drv = Driver::new(faulty, Mechanism::Cbp, ControllerConfig::quick())
+            .with_governor(GovernorConfig::new(3));
+        drv.system_mut().run(600_000);
+        for _ in 0..4 {
+            drv.epoch();
+            drv.system_mut().run(200_000);
+        }
+        let recs = drv.records();
+        for d in 0..2 {
+            let dom: Vec<&EpochRecord> = recs.iter().filter(|r| r.domain == Some(d)).collect();
+            assert_eq!(dom.len(), 4);
+            let open = dom
+                .iter()
+                .position(|r| {
+                    r.governor.iter().any(|e| e.action == "breaker_open" && e.class == Some("mba"))
+                })
+                .unwrap_or_else(|| panic!("domain {d} never opened its MBA breaker"));
+            // While the breaker is open the domain stops probing the dead
+            // register but still degrades CBP to CMM-a.
+            let after = dom[open + 1];
+            assert_eq!(after.degraded, Some("CMM-a"), "domain {d}");
+            assert!(
+                after.faults.iter().all(|f| f.msr != Some(cmm_sim::msr::MSR_MBA_THROTTLE)),
+                "domain {d}: {:?}",
+                after.faults
+            );
+            // Faults stay on their own domain's record.
+            let base = d * 4;
+            assert!(dom
+                .iter()
+                .flat_map(|r| &r.faults)
+                .filter_map(|f| f.core)
+                .all(|c| (base..base + 4).contains(&c)));
+        }
+        assert!(drv.governor(1).is_some() && drv.governor(2).is_none());
+        // PMU garbage and overflows: quarantines name domain-local cores.
+        let faulty = FaultySubstrate::new(two_socket_with(MIX), FaultConfig::uniform(5, 0.3));
+        let mut drv = Driver::new(faulty, Mechanism::Cbp, ControllerConfig::quick())
+            .with_governor(GovernorConfig::new(3));
+        drv.run_total(1_500_000);
+        let quarantined: Vec<usize> = drv
+            .records()
+            .iter()
+            .flat_map(|r| &r.governor)
+            .filter(|e| e.action == "quarantine")
+            .filter_map(|e| e.core)
+            .collect();
+        assert!(!quarantined.is_empty(), "rate 0.3 must quarantine some core");
+        assert!(quarantined.iter().all(|&c| c < 4), "{quarantined:?}");
+    }
+
+    #[test]
+    fn rollback_on_one_domain_leaves_the_other_untouched() {
+        // Two identical governed runs; in one, domain 1's governor is armed
+        // by hand so the next measurement reads as a regression.
+        let run = |arm: bool| {
+            let mut drv =
+                Driver::new(two_socket_with(MIX), Mechanism::CmmA, ControllerConfig::quick())
+                    .with_governor(GovernorConfig::new(1));
+            drv.run_total(900_000);
+            let before = drv.records().len();
+            let mut snapshot = Vec::new();
+            if arm {
+                let g = drv.domains[1].governor.as_mut().unwrap();
+                g.accept(1e6);
+                g.observe_faults(
+                    &[FaultRecord {
+                        cycle: 0,
+                        kind: "msr_rejected",
+                        core: Some(0),
+                        msr: Some(0x1A4),
+                        action: "retry_ok",
+                    }],
+                    0,
+                );
+                snapshot = g.snapshot().unwrap().to_vec();
+            }
+            drv.system_mut().run(100_000);
+            drv.epoch();
+            (drv.records()[before..].to_vec(), snapshot)
+        };
+        let (reference, _) = run(false);
+        let (armed, snapshot) = run(true);
+        assert_eq!(armed.len(), 2);
+        let rolled = &armed[1];
+        assert_eq!(rolled.domain, Some(1));
+        assert!(rolled.governor.iter().any(|e| e.action == "rollback"), "{:?}", rolled.governor);
+        assert!(rolled.faults.iter().any(|f| f.action == "kept_last_good"));
+        // The rolled-back domain re-runs its restored state: no profiling,
+        // no re-plan, and its read-back equals its own snapshot.
+        assert!(rolled.cores.is_empty() && rolled.trials.is_empty());
+        assert_eq!(rolled.applied, snapshot);
+        // Domain 0 planned as if nothing happened on socket 1.
+        assert!(!armed[0].cores.is_empty());
+        assert_eq!(armed[0].to_json_line("cell"), reference[0].to_json_line("cell"));
+    }
+
+    #[test]
+    fn multi_socket_pt_fine_keeps_its_two_group_cap() {
+        // Three aggressors per domain: more than PT-fine's two groups, so
+        // without the cap each domain would trial 3^3 = 27 settings.
+        let mix = ["bwaves3d", "lbm_fluid", "rand_access", "povray_rt"];
+        let mut drv =
+            Driver::new(two_socket_with(mix), Mechanism::PtFine, ControllerConfig::quick());
+        drv.system_mut().run(600_000);
+        drv.epoch();
+        for r in drv.records() {
+            assert!(r.agg.len() >= 3, "mix must give 3 aggressors per domain: {:?}", r.agg);
+            assert!(!r.trials.is_empty());
+            assert!(r.trials.len() <= 9, "domain {:?}: {} trials", r.domain, r.trials.len());
         }
     }
 }

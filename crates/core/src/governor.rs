@@ -146,8 +146,9 @@ struct Breaker {
     trips: u32,
 }
 
-/// The governor state machine. One instance wraps one driver; all state
-/// advances deterministically from the observed fault stream.
+/// The governor state machine. The driver keeps one instance per CAT
+/// domain, indexed by domain-local core ids; all state advances
+/// deterministically from the observed fault stream.
 #[derive(Debug, Clone)]
 pub struct Governor {
     cfg: GovernorConfig,
@@ -388,14 +389,18 @@ impl Governor {
     }
 }
 
-/// Reinstates a captured control state: per core, the prefetcher MSR
-/// image, CLOS association + way mask, and the MBA level. Best-effort —
-/// a register that faults during restore is skipped (the breaker state
-/// machine will see its fault records like any other write's).
-pub fn restore<S: Substrate>(sys: &mut S, state: &[CoreControl]) {
-    for (core, ctl) in state.iter().enumerate() {
+/// Reinstates a captured control state on the CAT domain whose first core
+/// is `base` (`state[i]` belongs to core `base + i`): per core, the
+/// prefetcher MSR image, CLOS association + way mask, and the MBA level.
+/// CLOS masks are socket-scoped, so they are written through `base`,
+/// which lands them on that domain's socket. Best-effort — a register
+/// that faults during restore is skipped (the breaker state machine will
+/// see its fault records like any other write's).
+pub fn restore<S: Substrate>(sys: &mut S, state: &[CoreControl], base: usize) {
+    for (i, ctl) in state.iter().enumerate() {
+        let core = base + i;
         let _ = sys.write_msr(core, MSR_MISC_FEATURE_CONTROL, ctl.msr_1a4);
-        let _ = sys.set_clos_mask(ctl.clos, ctl.way_mask);
+        let _ = sys.write_msr(base, IA32_L3_QOS_MASK_BASE + ctl.clos as u32, ctl.way_mask);
         let _ = sys.assign_clos(core, ctl.clos);
         let _ = sys.set_mba_throttle(core, ctl.mba_level);
     }
@@ -666,7 +671,28 @@ mod tests {
         Substrate::assign_clos(&mut sys, 1, 1).unwrap();
         Substrate::set_mba_throttle(&mut sys, 1, 40).unwrap();
         assert_ne!(Substrate::control_state(&sys), clean);
-        restore(&mut sys, &clean);
+        restore(&mut sys, &clean, 0);
         assert_eq!(Substrate::control_state(&sys), clean);
+    }
+
+    #[test]
+    fn restore_lands_on_the_domain_socket_only() {
+        let mut cfg = SystemConfig::tiny(4);
+        cfg.set_topology("2x2".parse().unwrap());
+        let mut sys = System::new(cfg, (0..4).map(|_| Box::new(Idle) as _).collect());
+        // Socket 1 (cores 2, 3) partitions core 3 into CLOS 1: the snapshot.
+        Substrate::write_msr(&mut sys, 2, IA32_L3_QOS_MASK_BASE + 1, 0b11).unwrap();
+        Substrate::assign_clos(&mut sys, 3, 1).unwrap();
+        let snapshot = Substrate::control_state(&sys)[2..].to_vec();
+        // Socket 1 moves on; socket 0 programs its own CLOS 1.
+        Substrate::write_msr(&mut sys, 2, IA32_L3_QOS_MASK_BASE + 1, 0b1100).unwrap();
+        Substrate::assign_clos(&mut sys, 3, 0).unwrap();
+        Substrate::write_msr(&mut sys, 0, IA32_L3_QOS_MASK_BASE + 1, 0b1).unwrap();
+        Substrate::assign_clos(&mut sys, 1, 1).unwrap();
+        let socket0 = Substrate::control_state(&sys)[..2].to_vec();
+        restore(&mut sys, &snapshot, 2);
+        let state = Substrate::control_state(&sys);
+        assert_eq!(state[2..], snapshot[..]);
+        assert_eq!(state[..2], socket0[..], "socket 0's CAT state must be untouched");
     }
 }

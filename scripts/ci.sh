@@ -293,8 +293,25 @@ smoke_scale() {
         return 1
     fi
     grep -q 'topology mismatch' "$tmp/scale-diff.err"
+    # Single-socket-only targets refuse a multi-socket --topology (exit 2,
+    # nothing on stdout) instead of journaling a topology they never ran.
+    local t code
+    for t in governor learn; do
+        code=0
+        ./target/release/repro "$t" --quick --topology 2x16 \
+            --bench-json "$tmp/BENCH_refused.json" \
+            --journal "$tmp/refused.$t.jsonl" > "$tmp/refused.$t.txt" 2> /dev/null || code=$?
+        [ "$code" -eq 2 ] || {
+            echo "repro $t --topology 2x16 exited $code, want 2" >&2
+            return 1
+        }
+        [ ! -s "$tmp/refused.$t.txt" ] || {
+            echo "repro $t --topology 2x16 printed to stdout" >&2
+            return 1
+        }
+    done
 }
-step "repro smoke_scale (1x8 golden diff, 2x16 determinism, /3 journal)" smoke_scale
+step "repro smoke_scale (1x8 golden diff, 2x16 determinism, /3 journal, refusals)" smoke_scale
 
 smoke_kill_resume() {
     # Crash-safety gate: a run hard-killed mid-sweep must resume from its
