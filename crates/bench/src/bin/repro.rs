@@ -4,7 +4,7 @@
 //! repro <target> [--quick] [--mixes N] [--seed S] [--jobs N] [--csv DIR]
 //!       [--bench-json PATH] [--journal PATH] [--fault-seed S]
 //!       [--resume PATH] [--attempts N] [--trace-dir DIR]
-//!       [--topology SxM[@shared|@CYCLES]]
+//!       [--topology SxM[@shared|@CYCLES]] [--model PATH]
 //!
 //! targets:
 //!   table1   Table I metrics for every benchmark (run alone)
@@ -15,6 +15,8 @@
 //!   fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
 //!   fairness supplementary Gabor-fairness table
 //!   overhead controller overhead accounting (paper: <0.1 %)
+//!   bandwidth  three-resource comparison: CMM-a vs bandwidth-only MBA vs
+//!            CBP (prefetch × CAT × MBA), per-mix hm_ipc and fairness
 //!   ablate   partition-scale / epoch-ratio / QBS sensitivity studies
 //!   extension  PT vs PT-fine (per-engine throttling beyond the paper)
 //!   faults   fault-injection resilience sweep (hm_ipc vs fault rate;
@@ -24,11 +26,12 @@
 //!            runtime governor (rollback, quarantine, circuit breakers)
 //!            at increasing fault rates; exit 1 unless the governed run
 //!            keeps at least the bare run's hm_ipc at every nonzero rate
-//!   bandwidth  three-resource comparison: CMM-a vs bandwidth-only MBA vs
-//!            CBP (prefetch × CAT × MBA), per-mix hm_ipc and fairness
+//!   learn    learned controllers (ML-Sel, RL-CBP) vs CMM-a/CBP; exit 1
+//!            unless ML-Sel keeps its floor and RL-CBP converges
+//!            (`learn train` fits the classifier to a cmm-model/1 file)
 //!   scale    topology sweep 1x8 -> 2x16 -> 4x32 (or one --topology):
 //!            per-CAT-domain hm_ipc, one BENCH target per leg (scale_SxM)
-//!   all      everything above (except ablate/extension/faults/scale)
+//!   all      table1, fig1-fig5 and fig7..fig15/fairness/overhead
 //!
 //! Trace subcommands (see DESIGN.md "Trace subsystem"):
 //!   trace record <dir> [mix-name] [--ops N] [--seed S]
@@ -39,17 +42,11 @@
 //!   trace stat <file>...
 //!            op counts, footprint and derived-MLP summary per file
 //!
-//! `--trace-dir DIR` on the fig7..fig15/fairness/overhead/ablate/all
-//! targets replaces the synthetic mixes with the traces in DIR (grouped
-//! 8 per mix, wrapping round-robin); the trace-set checksums join the
-//! checkpoint config digest, so `--resume` refuses to splice cells from a
-//! different trace set.
-//!
 //! CI subcommands (no simulation):
 //!   bench-compare <baseline.json> <current.json> [--noise F] [--scps-floor N]
 //!            diff two BENCH_sim.json perf logs; exit 1 on regression
 //!   journal-summary <journal.jsonl> [--csv PATH]
-//!            pretty-print a cmm-journal/1../5 run journal (multi-socket
+//!            pretty-print a cmm-journal/1../6 run journal (multi-socket
 //!            runs keyed per CAT domain: "mix: mech [d0]"); --csv also
 //!            exports the per-epoch telemetry as a plottable CSV
 //!   journal-diff <a.jsonl> <b.jsonl>
@@ -62,17 +59,34 @@
 //!            unless every converged output is byte-identical
 //! ```
 //!
+//! **One target table.** Every target is one entry of [`TARGETS`]: its
+//! name, its runner, and its capabilities — which optional flags it
+//! honours (a multi-socket `--topology`, `--resume`, `--trace-dir`,
+//! `--csv`, `--model`) and which journal schema extensions it writes. A
+//! flag a target does not honour is refused with exit 2 and a one-line
+//! reason before anything is loaded, simulated or written; `--help` lists
+//! each target's flags from the same table. Every leg of every target
+//! ends in one common tail ([`Run::finish`]): print, gate (exit 1), cell
+//! failure report, journal cells.
+//!
 //! **Crash safety & resume.** Evaluation cells run panic-isolated with a
 //! bounded retry budget (`--attempts`, default 3): a panicking cell never
 //! aborts its siblings, and a cell that exhausts the budget surfaces in a
 //! per-cell failure report (exit 1) after the rest of the sweep completed.
-//! `--resume PATH` maintains a `cmm-ckpt/1` sidecar of completed cells:
-//! an interrupted run re-invoked with the same `--resume` splices the
-//! cached results and produces byte-identical stdout/journal output to an
-//! uninterrupted run at any `--jobs`. The chaos flags (`--chaos-seed`,
+//! `--resume PATH` (faults, governor, learn, bandwidth, fig7..fig15,
+//! fairness, overhead, all) maintains a `cmm-ckpt/1` sidecar of completed
+//! cells: an interrupted run re-invoked with the same `--resume` splices
+//! the cached results and produces byte-identical stdout/journal output to
+//! an uninterrupted run at any `--jobs`. The chaos flags (`--chaos-seed`,
 //! `--chaos-rate`, `--chaos-mode`, `--chaos-kill`) inject seeded panics /
 //! a hard process kill into the harness itself; `repro soak` drives them
 //! end-to-end.
+//!
+//! `--trace-dir DIR` on the fig7..fig15/fairness/overhead/bandwidth/
+//! ablate/all targets replaces the synthetic mixes with the traces in DIR
+//! (grouped 8 per mix, wrapping round-robin); the trace-set checksums join
+//! the checkpoint config digest, so `--resume` refuses to splice cells
+//! from a different trace set.
 //!
 //! `--quick` shrinks durations and the per-category workload count so the
 //! whole suite finishes in minutes; the default matches the scaled
@@ -85,16 +99,15 @@
 //! every N.
 //!
 //! `--topology SxM` runs the evaluation targets (fig7..fig15, fairness,
-//! overhead, bandwidth, scale and the evaluation half of all) on an
-//! S-socket × M-core machine: per-socket LLC + CAT domain, per-socket
-//! memory controllers by default (`@shared` / `@CYCLES` select one
-//! controller homed on socket 0 with a cross-socket fill penalty), one
-//! CMM controller instance per CAT domain, and mixes tiled onto the
-//! larger machine by round-robin slot replication. `--topology 1x8` is a
-//! complete no-op: digest, stdout and journal stay byte-identical to the
-//! flagless run. The single-socket targets (faults, governor, learn,
-//! extension, ablate, table1, fig1, fig2, fig3, fig5) refuse a
-//! multi-socket `--topology` with exit 2.
+//! overhead, bandwidth, scale) on an S-socket × M-core machine:
+//! per-socket LLC + CAT domain, per-socket memory controllers by default
+//! (`@shared` / `@CYCLES` select one controller homed on socket 0 with a
+//! cross-socket fill penalty), one CMM controller instance per CAT
+//! domain, and mixes tiled onto the larger machine by round-robin slot
+//! replication. `--topology 1x8` is a complete no-op: digest, stdout and
+//! journal stay byte-identical to the flagless run. Every other target —
+//! `all` included, whose table1/fig1–fig5 legs are single-socket —
+//! refuses a multi-socket `--topology` with exit 2.
 //!
 //! Every run writes a machine-readable perf log (wall-clock, cells/sec,
 //! sim-cycles/sec per target) to `BENCH_sim.json` (see `--bench-json`)
@@ -104,10 +117,13 @@
 //! (see `--journal`); multi-socket runs upgrade it to `cmm-journal/3`
 //! (manifest `topology` key, per-epoch CAT `domain`), MBA-capable
 //! targets (`bandwidth`, `faults`) to `cmm-journal/4` (per-epoch MBA
-//! trial/applied delay levels), and the governed `governor` target to
-//! `cmm-journal/5` (manifest `governor` flag, per-epoch governor events).
+//! trial/applied delay levels), the governed `governor` target to
+//! `cmm-journal/5` (manifest `governor` flag, per-epoch governor events)
+//! and `learn` to `cmm-journal/6` (per-epoch features and actions).
 //! `--fault-seed` seeds the `faults`/`governor` targets' injected fault
 //! schedule (and the governor's jitter stream).
+
+use std::path::{Path, PathBuf};
 
 use cmm_bench::ablate;
 use cmm_bench::chaos::{self, ChaosMode};
@@ -115,12 +131,12 @@ use cmm_bench::characterize::{
     prefetch_impact, profile_alone, way_sweep, ways_needed, CharacterizeConfig,
 };
 use cmm_bench::checkpoint::Checkpoint;
-use cmm_bench::figures::{self, EvalConfig, Evaluation};
+use cmm_bench::figures::{self, EvalConfig, Evaluation, FigureSeries};
 use cmm_bench::perf::BenchLog;
 use cmm_bench::runner::{default_jobs, parallel_map, CellFailure, Progress, DEFAULT_ATTEMPTS};
 use cmm_bench::{compare, diff, faults, governor, journal, learn, report, soak};
 use cmm_core::backend;
-use cmm_core::experiment::{run_mix_pooled, ExperimentConfig, WarmupPool};
+use cmm_core::experiment::{run_alone_ipcs, run_mix_pooled, ExperimentConfig, WarmupPool};
 use cmm_core::frontend::{detect_agg, metrics, DetectorConfig};
 use cmm_core::policy::{ControllerConfig, Mechanism};
 use cmm_core::telemetry::EpochRecord;
@@ -129,10 +145,12 @@ use cmm_metrics as met;
 use cmm_sim::config::{SystemConfig, Topology};
 use cmm_sim::System;
 use cmm_workloads::spec::{self, thresholds, Benchmark};
-use cmm_workloads::{build_mixes, Mix, TraceSet};
+use cmm_workloads::{build_mixes, Category, Mix, TraceSet};
+use Runner::{Eval, Own};
 
 struct Args {
-    target: String,
+    /// The target or subcommand; `None` runs the default target.
+    target: Option<String>,
     /// Positional operands after the target (subcommand file paths).
     operands: Vec<String>,
     quick: bool,
@@ -140,16 +158,16 @@ struct Args {
     seed: u64,
     fault_seed: u64,
     jobs: usize,
-    csv: Option<std::path::PathBuf>,
-    bench_json: std::path::PathBuf,
-    journal: std::path::PathBuf,
+    csv: Option<PathBuf>,
+    bench_json: PathBuf,
+    journal: PathBuf,
     noise: f64,
     /// `bench-compare`: hard floor on each current target's
     /// `sim_cycles_per_s` (the CI `smoke_perf` gate).
     scps_floor: Option<f64>,
-    resume: Option<std::path::PathBuf>,
+    resume: Option<PathBuf>,
     attempts: u32,
-    trace_dir: Option<std::path::PathBuf>,
+    trace_dir: Option<PathBuf>,
     /// `repro trace record`: ops captured per core.
     ops: usize,
     chaos_seed: u64,
@@ -162,108 +180,70 @@ struct Args {
     topology: Option<Topology>,
     /// `repro learn --model PATH`: load a `cmm-model/1` classifier instead
     /// of training one in-process (exit 2 on any format error).
-    model: Option<std::path::PathBuf>,
+    model: Option<PathBuf>,
     /// `repro learn train --out PATH`: where the fitted model is written.
-    out: Option<std::path::PathBuf>,
+    out: Option<PathBuf>,
+}
+
+/// The value after a flag, parsed; a missing or malformed one panics
+/// with `what`.
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, what: &str) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("{what}"))
 }
 
 fn parse_args() -> Args {
-    let mut target: Option<String> = None;
-    let mut operands = Vec::new();
-    let mut quick = false;
-    let mut mixes = None;
-    let mut seed = 42;
-    let mut fault_seed = 7;
-    let mut jobs = default_jobs();
-    let mut csv = None;
-    let mut bench_json = std::path::PathBuf::from("BENCH_sim.json");
-    let mut journal = std::path::PathBuf::from("JOURNAL_sim.jsonl");
-    let mut noise = compare::DEFAULT_NOISE;
-    let mut scps_floor = None;
-    let mut resume = None;
-    let mut attempts = DEFAULT_ATTEMPTS;
-    let mut trace_dir = None;
-    let mut ops = 50_000;
-    let mut chaos_seed = soak::SOAK_CHAOS_SEED;
-    let mut chaos_rate = 0.0;
-    let mut chaos_mode = ChaosMode::Transient;
-    let mut chaos_kill = None;
-    let mut topology = None;
-    let mut model = None;
-    let mut out = None;
+    let mut a = Args {
+        target: None,
+        operands: Vec::new(),
+        quick: false,
+        mixes: None,
+        seed: 42,
+        fault_seed: 7,
+        jobs: default_jobs(),
+        csv: None,
+        bench_json: PathBuf::from("BENCH_sim.json"),
+        journal: PathBuf::from("JOURNAL_sim.jsonl"),
+        noise: compare::DEFAULT_NOISE,
+        scps_floor: None,
+        resume: None,
+        attempts: DEFAULT_ATTEMPTS,
+        trace_dir: None,
+        ops: 50_000,
+        chaos_seed: soak::SOAK_CHAOS_SEED,
+        chaos_rate: 0.0,
+        chaos_mode: ChaosMode::Transient,
+        chaos_kill: None,
+        topology: None,
+        model: None,
+        out: None,
+    };
     let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--csv" => {
-                csv = Some(std::path::PathBuf::from(it.next().expect("--csv needs a directory")))
-            }
-            "--bench-json" => {
-                bench_json = std::path::PathBuf::from(it.next().expect("--bench-json needs a path"))
-            }
-            "--journal" => {
-                journal = std::path::PathBuf::from(it.next().expect("--journal needs a path"))
-            }
-            "--noise" => {
-                noise = it.next().and_then(|v| v.parse().ok()).expect("--noise needs a fraction")
-            }
-            "--scps-floor" => {
-                scps_floor = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scps-floor needs sim-cycles/s"),
-                )
-            }
-            "--mixes" => {
-                mixes =
-                    Some(it.next().and_then(|v| v.parse().ok()).expect("--mixes needs a number"))
-            }
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).expect("--seed needs a number")
-            }
-            "--fault-seed" => {
-                fault_seed =
-                    it.next().and_then(|v| v.parse().ok()).expect("--fault-seed needs a number")
-            }
+    while let Some(flag) = it.next() {
+        let it = &mut it;
+        match flag.as_str() {
+            "--quick" => a.quick = true,
+            "--csv" => a.csv = Some(value(it, "--csv needs a directory")),
+            "--bench-json" => a.bench_json = value(it, "--bench-json needs a path"),
+            "--journal" => a.journal = value(it, "--journal needs a path"),
+            "--noise" => a.noise = value(it, "--noise needs a fraction"),
+            "--scps-floor" => a.scps_floor = Some(value(it, "--scps-floor needs sim-cycles/s")),
+            "--mixes" => a.mixes = Some(value(it, "--mixes needs a number")),
+            "--seed" => a.seed = value(it, "--seed needs a number"),
+            "--fault-seed" => a.fault_seed = value(it, "--fault-seed needs a number"),
             "--jobs" => {
-                jobs = it.next().and_then(|v| v.parse().ok()).expect("--jobs needs a number");
-                if jobs == 0 {
-                    jobs = default_jobs();
+                a.jobs = match value(it, "--jobs needs a number") {
+                    0 => default_jobs(),
+                    n => n,
                 }
             }
-            "--resume" => {
-                resume = Some(std::path::PathBuf::from(
-                    it.next().expect("--resume needs a checkpoint path"),
-                ))
-            }
-            "--attempts" => {
-                attempts =
-                    it.next().and_then(|v| v.parse().ok()).expect("--attempts needs a number");
-                if attempts == 0 {
-                    attempts = 1;
-                }
-            }
-            "--trace-dir" => {
-                trace_dir = Some(std::path::PathBuf::from(
-                    it.next().expect("--trace-dir needs a directory"),
-                ))
-            }
-            "--ops" => {
-                ops = it.next().and_then(|v| v.parse().ok()).expect("--ops needs a number");
-                if ops == 0 {
-                    ops = 1;
-                }
-            }
-            "--chaos-seed" => {
-                chaos_seed =
-                    it.next().and_then(|v| v.parse().ok()).expect("--chaos-seed needs a number")
-            }
-            "--chaos-rate" => {
-                chaos_rate =
-                    it.next().and_then(|v| v.parse().ok()).expect("--chaos-rate needs a fraction")
-            }
+            "--resume" => a.resume = Some(value(it, "--resume needs a checkpoint path")),
+            "--attempts" => a.attempts = value::<u32>(it, "--attempts needs a number").max(1),
+            "--trace-dir" => a.trace_dir = Some(value(it, "--trace-dir needs a directory")),
+            "--ops" => a.ops = value::<usize>(it, "--ops needs a number").max(1),
+            "--chaos-seed" => a.chaos_seed = value(it, "--chaos-seed needs a number"),
+            "--chaos-rate" => a.chaos_rate = value(it, "--chaos-rate needs a fraction"),
             "--chaos-mode" => {
-                chaos_mode = match it.next().as_deref() {
+                a.chaos_mode = match it.next().as_deref() {
                     Some("transient") => ChaosMode::Transient,
                     Some("persistent") => ChaosMode::Persistent,
                     Some("hang") => ChaosMode::Hang,
@@ -275,115 +255,39 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--chaos-kill" => {
-                chaos_kill = Some(
-                    it.next().and_then(|v| v.parse().ok()).expect("--chaos-kill needs a number"),
-                )
-            }
-            "--model" => {
-                model = Some(std::path::PathBuf::from(
-                    it.next().expect("--model needs a cmm-model/1 path"),
-                ))
-            }
-            "--out" => out = Some(std::path::PathBuf::from(it.next().expect("--out needs a path"))),
-            "--topology" => {
-                let spec = it.next().unwrap_or_default();
-                topology = match spec.parse::<Topology>() {
-                    Ok(t) => Some(t),
-                    Err(e) => {
-                        eprintln!("--topology: {e}");
-                        std::process::exit(2);
-                    }
+            "--chaos-kill" => a.chaos_kill = Some(value(it, "--chaos-kill needs a number")),
+            "--model" => a.model = Some(value(it, "--model needs a cmm-model/1 path")),
+            "--out" => a.out = Some(value(it, "--out needs a path")),
+            "--topology" => match it.next().unwrap_or_default().parse::<Topology>() {
+                Ok(t) => a.topology = Some(t),
+                Err(e) => {
+                    eprintln!("--topology: {e}");
+                    std::process::exit(2);
                 }
-            }
+            },
             "--help" | "-h" => {
-                println!(
-                    "usage: repro <table1|fig1|fig2|fig3|fig5|fig7..fig15|overhead|faults|\
-                     governor|bandwidth|learn|all> \
-                     [--quick] [--mixes N] [--seed S] [--fault-seed S] [--jobs N] [--csv DIR] \
-                     [--bench-json PATH] [--journal PATH] [--resume CKPT] [--attempts N] \
-                     [--topology SxM]\n       \
-                     repro bandwidth … — three-resource comparison (CMM-a, MBA, CBP): \
-                     per-mix hm_ipc and fairness, cmm-journal/4\n       \
-                     repro governor [--quick] [--fault-seed S] … — CBP bare vs governed \
-                     under injected faults (dominance gate), cmm-journal/5\n       \
-                     repro learn [--quick] [--model PATH] … — learned controllers \
-                     (ML-Sel, RL-CBP) vs CMM-a/CBP (floor + convergence gates), \
-                     cmm-journal/6; trains in-process unless --model is given\n       \
-                     repro learn train [--quick] [--out PATH] — fit the phase \
-                     classifier and write it as cmm-model/1 (default mlsel.model)\n       \
-                     repro scale [--quick] [--topology SxM] — topology sweep \
-                     (default 1x8, 2x16, 4x32) with per-domain hm_ipc\n       \
-                     repro <fig7..fig15|fairness|overhead|ablate|all> --trace-dir DIR …\n       \
-                     repro trace record <dir> [mix-name] [--ops N] [--seed S]\n       \
-                     repro trace convert <in> <out>\n       \
-                     repro trace stat <file>...\n       \
-                     repro soak [--jobs N]\n       \
-                     repro bench-compare <baseline.json> <current.json> [--noise F] \
-                     [--scps-floor N]\n       \
-                     repro journal-summary <journal.jsonl> [--csv PATH]\n       \
-                     repro journal-diff <a.jsonl> <b.jsonl>\n\n\
-                     crash safety: --resume CKPT keeps a cmm-ckpt/1 sidecar of completed\n\
-                     cells and splices them on re-run (byte-identical output); --attempts\n\
-                     bounds per-cell retries after a panic. --chaos-seed/--chaos-rate/\n\
-                     --chaos-mode/--chaos-kill inject harness faults (used by 'repro soak')."
-                );
+                println!("{}", usage());
                 std::process::exit(0);
             }
-            t if !t.starts_with('-') => {
-                if target.is_none() {
-                    target = Some(t.to_string());
-                } else {
-                    operands.push(t.to_string());
-                }
-            }
+            t if !t.starts_with('-') => match a.target {
+                None => a.target = Some(t.to_string()),
+                Some(_) => a.operands.push(t.to_string()),
+            },
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
             }
         }
     }
-    Args {
-        target: target.unwrap_or_else(|| "all".into()),
-        operands,
-        quick,
-        mixes,
-        seed,
-        fault_seed,
-        jobs,
-        csv,
-        bench_json,
-        journal,
-        noise,
-        scps_floor,
-        resume,
-        attempts,
-        trace_dir,
-        ops,
-        chaos_seed,
-        chaos_rate,
-        chaos_mode,
-        chaos_kill,
-        topology,
-        model,
-        out,
-    }
+    a
 }
 
 /// `repro learn train`: fit the phase classifier from the roster corpus
 /// and write it out as a `cmm-model/1` document. Exit 0 on success, 2 on
 /// an unwritable output path.
 fn run_learn_train(args: &Args) -> i32 {
-    let out = args.out.clone().unwrap_or_else(|| std::path::PathBuf::from("mlsel.model"));
-    let t = learn::train_model(args.quick);
-    print!(
-        "{}",
-        report::table(
-            "Phase-classifier training corpus — run-alone IPC per 0x1A4 image",
-            &learn::TRAIN_HEADERS,
-            &t.rows,
-        )
-    );
+    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("mlsel.model"));
+    let t = train_model(args.quick);
     println!(
         "trained cmm-model/1: {} samples, {} classes, training accuracy {:.3}",
         t.samples,
@@ -399,52 +303,49 @@ fn run_learn_train(args: &Args) -> i32 {
     0
 }
 
+/// Fits the phase classifier, printing its training-corpus table.
+fn train_model(quick: bool) -> learn::TrainReport {
+    let t = learn::train_model(quick);
+    print!(
+        "{}",
+        report::table(
+            "Phase-classifier training corpus — run-alone IPC per 0x1A4 image",
+            &learn::TRAIN_HEADERS,
+            &t.rows,
+        )
+    );
+    t
+}
+
 /// Resolves the `repro learn` classifier: loads `--model` (exit 2 on any
 /// `cmm-model/1` format error) or trains one in-process, printing the
 /// training table. Returns the model plus its content digest (folded into
 /// the run's config digest so `--resume` refuses a different model).
 fn resolve_learn_model(args: &Args, log: &Progress) -> (Model, String) {
-    match &args.model {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("[repro] --model {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
-            match Model::from_text(&text) {
-                Ok(m) => {
-                    log.note(&format!(
-                        "loaded cmm-model/1 from {} ({} classes, digest {})",
-                        path.display(),
-                        m.labels.len(),
-                        fnv1a(text.as_bytes())
-                    ));
-                    (m, fnv1a(text.as_bytes()))
-                }
-                Err(e) => {
-                    eprintln!("[repro] --model {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => {
-            let t = learn::train_model(args.quick);
-            print!(
-                "{}",
-                report::table(
-                    "Phase-classifier training corpus — run-alone IPC per 0x1A4 image",
-                    &learn::TRAIN_HEADERS,
-                    &t.rows,
-                )
-            );
+    let Some(path) = &args.model else {
+        let t = train_model(args.quick);
+        log.note(&format!(
+            "trained phase classifier in-process: {} samples, accuracy {:.3}",
+            t.samples, t.accuracy
+        ));
+        let digest = fnv1a(t.model.to_text().as_bytes());
+        return (t.model, digest);
+    };
+    let loaded = std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|text| {
+        Model::from_text(&text).map(|m| (m, fnv1a(text.as_bytes()))).map_err(|e| e.to_string())
+    });
+    match loaded {
+        Ok((m, digest)) => {
             log.note(&format!(
-                "trained phase classifier in-process: {} samples, accuracy {:.3}",
-                t.samples, t.accuracy
+                "loaded cmm-model/1 from {} ({} classes, digest {digest})",
+                path.display(),
+                m.labels.len(),
             ));
-            let digest = fnv1a(t.model.to_text().as_bytes());
-            (t.model, digest)
+            (m, digest)
+        }
+        Err(e) => {
+            eprintln!("[repro] --model {}: {e}", path.display());
+            std::process::exit(2);
         }
     }
 }
@@ -597,14 +498,11 @@ fn run_journal_diff(args: &Args) -> i32 {
     }
 }
 
-/// Prints a series and, when `--csv DIR` was given, also writes it there.
-fn emit(series: &cmm_bench::figures::FigureSeries, csv: &Option<std::path::PathBuf>) {
-    print!("{}", report::render(series));
-    if let Some(dir) = csv {
-        match cmm_bench::export::write_csv(dir, series) {
-            Ok(path) => eprintln!("[repro] wrote {}", path.display()),
-            Err(e) => eprintln!("[repro] csv export failed: {e}"),
-        }
+fn exp_cfg(quick: bool) -> ExperimentConfig {
+    if quick {
+        ExperimentConfig::quick()
+    } else {
+        ExperimentConfig::default()
     }
 }
 
@@ -614,7 +512,18 @@ fn char_cfg(quick: bool) -> (SystemConfig, CharacterizeConfig) {
     (sys, cfg)
 }
 
-fn eval_cfg(args: &Args) -> EvalConfig {
+/// Work volume of a roster target: the roster size and the simulated
+/// core-cycles of one characterisation run.
+fn roster_volume(quick: bool) -> (u64, u64) {
+    let (_, cfg) = char_cfg(quick);
+    (spec::roster().len() as u64, cfg.warmup + cfg.measure)
+}
+
+/// The shared evaluation's configuration: `--quick`, `--mixes`, `--seed`,
+/// `--jobs`, `--attempts`, a multi-socket `--topology` (mixes are tiled
+/// to the machine inside `evaluate_resumable`; a single-socket one is a
+/// no-op, keeping output byte-identical) and the `--trace-dir` mixes.
+fn eval_cfg(args: &Args, traces: Option<&TraceSet>) -> EvalConfig {
     let mut cfg = if args.quick { EvalConfig::quick() } else { EvalConfig::default() };
     if let Some(m) = args.mixes {
         cfg.mixes_per_category = m;
@@ -622,95 +531,11 @@ fn eval_cfg(args: &Args) -> EvalConfig {
     cfg.seed = args.seed;
     cfg.jobs = args.jobs;
     cfg.attempts = args.attempts;
-    // Multi-socket runs keep the per-socket geometry and replicate it;
-    // mixes are tiled to the machine inside `evaluate_resumable`. A
-    // single-socket --topology is a no-op, keeping output byte-identical.
     if let Some(t) = args.topology.filter(|t| !t.is_single()) {
         cfg.exp.sys.set_topology(t);
     }
+    cfg.trace_mixes = traces.map(|set| set.build_mixes(8));
     cfg
-}
-
-/// Simulated core-cycles of one characterisation run.
-fn char_cycles(cfg: &CharacterizeConfig) -> u64 {
-    cfg.warmup + cfg.measure
-}
-
-/// Topologies swept by `repro scale` when `--topology` doesn't narrow it
-/// to one leg (the CI matrix does).
-const SCALE_SWEEP: [&str; 3] = ["1x8", "2x16", "4x32"];
-
-/// Per-cell durations for `repro scale`: the `--quick` eval durations are
-/// sized for 8 cores, so the many-core legs (4x32 simulates 128 cores per
-/// cell) get a further cut to stay inside the CI smoke budget.
-fn scale_exp(quick: bool) -> ExperimentConfig {
-    let mut cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-    if quick {
-        cfg.warmup_cycles = 300_000;
-        cfg.total_cycles = 600_000;
-    }
-    cfg
-}
-
-/// `repro scale`: Baseline and CMM-a on tiled mixes across the topology
-/// sweep, reporting per-CAT-domain hm_ipc. Each leg is its own
-/// `scale_<label>` perf-log target, so `bench-compare` gates many-core
-/// throughput (wall, sim-cycles/s) separately from the 8-core targets.
-fn run_scale(args: &Args, bench: &mut BenchLog, log: &Progress) -> Vec<JournalCell> {
-    let topos: Vec<Topology> = match args.topology {
-        Some(t) => vec![t],
-        None => SCALE_SWEEP.iter().map(|s| s.parse().expect("sweep labels parse")).collect(),
-    };
-    let mechs = [Mechanism::Baseline, Mechanism::CmmA];
-    let mut cells: Vec<JournalCell> = Vec::new();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for topo in topos {
-        let mut cfg = scale_exp(args.quick);
-        cfg.sys.set_topology(topo);
-        let pairs: Vec<(Mix, Mechanism)> = build_mixes(args.seed, 1)
-            .into_iter()
-            .take(2)
-            .map(|m| m.tiled(topo.total_cores()))
-            .flat_map(|m| mechs.into_iter().map(move |mech| (m.clone(), mech)))
-            .collect();
-        let per_cell = (cfg.warmup_cycles + cfg.total_cycles) * topo.total_cores() as u64;
-        let name = format!("scale_{}", topo.label());
-        let results =
-            bench.measure(&name, pairs.len() as u64, pairs.len() as u64 * per_cell, || {
-                let pool = WarmupPool::new();
-                parallel_map(&pairs, args.jobs, |_, (mix, mech)| {
-                    log.cell(
-                        &format!("scale {}: {} {}", topo.label(), mix.name, mech.label()),
-                        || run_mix_pooled(&pool, mix, *mech, &cfg),
-                    )
-                })
-            });
-        let len = topo.cores_per_socket;
-        for r in results {
-            for d in 0..topo.sockets {
-                rows.push(vec![
-                    topo.label(),
-                    r.mix_name.clone(),
-                    r.mechanism.label().to_string(),
-                    d.to_string(),
-                    format!("{:.4}", met::hm_ipc(&r.ipcs[d * len..(d + 1) * len])),
-                ]);
-            }
-            cells.push((
-                format!("scale {}: {} {}", topo.label(), r.mix_name, r.mechanism.label()),
-                r.epochs,
-            ));
-        }
-    }
-    print!(
-        "{}",
-        report::table(
-            "Scale sweep — per-CAT-domain harmonic-mean IPC",
-            &["topology", "mix", "mechanism", "domain", "hm_ipc"],
-            &rows,
-        )
-    );
-    cells
 }
 
 /// Work volume (cells, simulated core-cycles) of one full evaluation.
@@ -735,179 +560,254 @@ fn eval_volume(cfg: &EvalConfig, mechanisms: &[Mechanism]) -> (u64, u64) {
     (cells, cycles)
 }
 
+/// Renders figure series for stdout and, under `--csv DIR`, also writes
+/// each one there.
+fn emit<const N: usize>(csv: Option<&Path>, series: impl Into<[FigureSeries; N]>) -> String {
+    let mut out = String::new();
+    for s in series.into() {
+        out.push_str(&report::render(&s));
+        if let Some(dir) = csv {
+            match cmm_bench::export::write_csv(dir, &s) {
+                Ok(path) => eprintln!("[repro] wrote {}", path.display()),
+                Err(e) => eprintln!("[repro] csv export failed: {e}"),
+            }
+        }
+    }
+    out
+}
+
 /// One journal cell: a run label (`"table1: bwaves3d"`, `"PrefAgg-00:
 /// CMM-a"`) and its recorded controller epochs.
 type JournalCell = (String, Vec<EpochRecord>);
+
+/// One finished leg of a target, as the common tail takes it.
+#[derive(Default)]
+struct Leg {
+    /// Tables for stdout.
+    out: String,
+    /// Why the leg's gate failed (exit 1), if it did.
+    gate_failure: Option<&'static str>,
+    /// Controller telemetry for the run journal.
+    cells: Vec<JournalCell>,
+}
+
+/// A target's run: the flags, the inputs `main` resolved from them, the
+/// perf log, and what the common tail has collected so far.
+struct Run<'a> {
+    args: &'a Args,
+    log: &'a Progress,
+    traces: Option<&'a TraceSet>,
+    ckpt: Option<&'a Checkpoint>,
+    model: Option<&'a Model>,
+    bench: BenchLog,
+    cells: Vec<JournalCell>,
+    exit_code: i32,
+}
+
+impl Run<'_> {
+    /// The common tail of every leg: print its tables, fail the run on a
+    /// failed gate, report the cells that exhausted their retry budget,
+    /// and keep its journal cells. A failed leg still lets the run write
+    /// its perf log and journal before exiting 1.
+    fn finish(&mut self, what: &str, leg: Result<Leg, Vec<CellFailure>>) {
+        match leg {
+            Ok(leg) => {
+                print!("{}", leg.out);
+                if let Some(why) = leg.gate_failure {
+                    eprintln!("[repro] {why}");
+                    self.exit_code = 1;
+                }
+                self.cells.extend(leg.cells);
+            }
+            Err(failures) => {
+                report_cell_failures(what, &failures, self.ckpt);
+                self.exit_code = 1;
+            }
+        }
+    }
+}
+
+/// A roster target: one cell per benchmark, `runs` characterisation runs
+/// each, rendered as one table. `cell` returns the benchmark's row and,
+/// for a target that journals, its controller epochs.
+fn run_roster(
+    r: &mut Run,
+    name: &str,
+    runs: u64,
+    title: &str,
+    headers: &[&str],
+    cell: impl Fn(
+            &Benchmark,
+            &SystemConfig,
+            &CharacterizeConfig,
+        ) -> (Vec<String>, Option<Vec<EpochRecord>>)
+        + Sync,
+) {
+    let (n, c1) = roster_volume(r.args.quick);
+    let (quick, jobs, log) = (r.args.quick, r.args.jobs, r.log);
+    let leg = r.bench.measure(name, runs * n, runs * n * c1, || {
+        let (sys, cfg) = char_cfg(quick);
+        let results = parallel_map(spec::roster(), jobs, |_, b| {
+            let label = format!("{name}: {}", b.name);
+            let (row, epochs) = log.cell(&label, || cell(b, &sys, &cfg));
+            (row, epochs.map(|e| (label, e)))
+        });
+        let (rows, cells): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+        let out = report::table(title, headers, &rows);
+        Leg { out, cells: cells.into_iter().flatten().collect(), ..Leg::default() }
+    });
+    r.finish(name, Ok(leg));
+}
+
+fn yes(b: bool) -> String {
+    if b { "yes" } else { "no" }.to_string()
+}
 
 /// Table I. Besides printing the metric table, every benchmark's run ends
 /// with one real PT profiling epoch on the still-warm machine, so the
 /// target journals genuine controller decisions (cascade, Agg verdict,
 /// throttle trials, applied winner) without changing the printed numbers.
-fn table1(quick: bool, jobs: usize, log: &Progress) -> Vec<JournalCell> {
-    let (sys, cfg) = char_cfg(quick);
-    let ctrl = if quick { ControllerConfig::quick() } else { ControllerConfig::default() };
-    let results: Vec<(Vec<String>, JournalCell)> =
-        parallel_map(spec::roster(), jobs, |_, b: &Benchmark| {
-            log.cell(&format!("table1: {}", b.name), || {
-                let (r, epochs) = profile_alone(b, &sys, &cfg, &ctrl);
-                let m = r.metrics;
-                let row = vec![
-                    b.name.to_string(),
-                    format!("{:.3}", r.ipc),
-                    format!("{}", m.l2_llc_traffic),
-                    format!("{:.2}", m.l2_pf_miss_frac),
-                    format!("{:.4}", m.l2_ptr),
-                    format!("{:.2}", m.pga),
-                    format!("{:.2}", m.l2_pmr),
-                    format!("{:.2}", m.l2_ppm),
-                    format!("{:.3}", m.llc_pt),
-                ];
-                (row, (format!("table1: {}", b.name), epochs))
-            })
-        });
-    let (rows, cells): (Vec<Vec<String>>, Vec<JournalCell>) = results.into_iter().unzip();
-    print!(
-        "{}",
-        report::table(
-            "Table I — per-benchmark metrics (run alone, prefetchers on)",
-            &[
-                "benchmark",
-                "IPC",
-                "M-1 L2-LLC",
-                "M-2 frac",
-                "M-3 PTR",
-                "M-4 PGA",
-                "M-5 PMR",
-                "M-6 PPM",
-                "M-7 LLC-PT"
-            ],
-            &rows,
-        )
+fn run_table1(r: &mut Run, name: &'static str) {
+    let ctrl = if r.args.quick { ControllerConfig::quick() } else { ControllerConfig::default() };
+    run_roster(
+        r,
+        name,
+        1,
+        "Table I — per-benchmark metrics (run alone, prefetchers on)",
+        &[
+            "benchmark",
+            "IPC",
+            "M-1 L2-LLC",
+            "M-2 frac",
+            "M-3 PTR",
+            "M-4 PGA",
+            "M-5 PMR",
+            "M-6 PPM",
+            "M-7 LLC-PT",
+        ],
+        |b, sys, cfg| {
+            let (r, epochs) = profile_alone(b, sys, cfg, &ctrl);
+            let m = r.metrics;
+            let row = vec![
+                b.name.to_string(),
+                format!("{:.3}", r.ipc),
+                format!("{}", m.l2_llc_traffic),
+                format!("{:.2}", m.l2_pf_miss_frac),
+                format!("{:.4}", m.l2_ptr),
+                format!("{:.2}", m.pga),
+                format!("{:.2}", m.l2_pmr),
+                format!("{:.2}", m.l2_ppm),
+                format!("{:.3}", m.llc_pt),
+            ];
+            (row, Some(epochs))
+        },
     );
-    cells
 }
 
-fn fig1(quick: bool, jobs: usize, log: &Progress) {
-    let (sys, cfg) = char_cfg(quick);
-    let rows: Vec<Vec<String>> = parallel_map(spec::roster(), jobs, |_, b: &Benchmark| {
-        log.cell(&format!("fig1: {}", b.name), || {
-            let imp = prefetch_impact(b, &sys, &cfg);
+fn run_fig1(r: &mut Run, name: &'static str) {
+    run_roster(
+        r,
+        name,
+        2,
+        "Fig. 1 — memory bandwidth (bytes/cycle) without/with prefetching",
+        &["benchmark", "SPEC analogue", "BW off", "BW on", "increase", "aggressive?", "intended"],
+        |b, sys, cfg| {
+            let imp = prefetch_impact(b, sys, cfg);
             let agg = imp.off.demand_bpc > thresholds::DEMAND_INTENSIVE_BPC
                 && imp.bw_increase() > thresholds::AGGRESSIVE_BW_INCREASE;
-            vec![
+            let row = vec![
                 b.name.to_string(),
                 b.spec_alias.to_string(),
                 format!("{:.3}", imp.off.total_bpc()),
                 format!("{:.3}", imp.on.total_bpc()),
                 format!("{:+.0}%", imp.bw_increase() * 100.0),
-                format!("{}", if agg { "yes" } else { "no" }),
-                format!("{}", if b.class.prefetch_aggressive { "yes" } else { "no" }),
-            ]
-        })
-    });
-    print!(
-        "{}",
-        report::table(
-            "Fig. 1 — memory bandwidth (bytes/cycle) without/with prefetching",
-            &[
-                "benchmark",
-                "SPEC analogue",
-                "BW off",
-                "BW on",
-                "increase",
-                "aggressive?",
-                "intended"
-            ],
-            &rows,
-        )
+                yes(agg),
+                yes(b.class.prefetch_aggressive),
+            ];
+            (row, None)
+        },
     );
 }
 
-fn fig2(quick: bool, jobs: usize, log: &Progress) {
-    let (sys, cfg) = char_cfg(quick);
-    let rows: Vec<Vec<String>> = parallel_map(spec::roster(), jobs, |_, b: &Benchmark| {
-        log.cell(&format!("fig2: {}", b.name), || {
-            let imp = prefetch_impact(b, &sys, &cfg);
-            let friendly = imp.ipc_speedup() > thresholds::FRIENDLY_IPC_SPEEDUP;
-            vec![
+fn run_fig2(r: &mut Run, name: &'static str) {
+    run_roster(
+        r,
+        name,
+        2,
+        "Fig. 2 — IPC speedup from prefetching",
+        &["benchmark", "IPC off", "IPC on", "speedup", "friendly?", "intended"],
+        |b, sys, cfg| {
+            let imp = prefetch_impact(b, sys, cfg);
+            let row = vec![
                 b.name.to_string(),
                 format!("{:.3}", imp.off.ipc),
                 format!("{:.3}", imp.on.ipc),
                 format!("{:+.0}%", imp.ipc_speedup() * 100.0),
-                format!("{}", if friendly { "yes" } else { "no" }),
-                format!("{}", if b.class.prefetch_friendly { "yes" } else { "no" }),
-            ]
-        })
-    });
-    print!(
-        "{}",
-        report::table(
-            "Fig. 2 — IPC speedup from prefetching",
-            &["benchmark", "IPC off", "IPC on", "speedup", "friendly?", "intended"],
-            &rows,
-        )
+                yes(imp.ipc_speedup() > thresholds::FRIENDLY_IPC_SPEEDUP),
+                yes(b.class.prefetch_friendly),
+            ];
+            (row, None)
+        },
     );
 }
 
-fn fig3(quick: bool, jobs: usize, log: &Progress) {
-    let (sys, cfg) = char_cfg(quick);
-    let header_ways: Vec<String> = (1..=sys.llc.ways).map(|w| format!("{w}w")).collect();
+fn run_fig3(r: &mut Run, name: &'static str) {
+    let ways = SystemConfig::scaled(1).llc.ways;
+    let header_ways: Vec<String> = (1..=ways).map(|w| format!("{w}w")).collect();
     let mut headers: Vec<&str> = vec!["benchmark", "needs", "sensitive?"];
     headers.extend(header_ways.iter().map(|s| s.as_str()));
-    let rows: Vec<Vec<String>> = parallel_map(spec::roster(), jobs, |_, b: &Benchmark| {
-        log.cell(&format!("fig3: {}", b.name), || {
+    run_roster(
+        r,
+        name,
+        ways as u64,
+        "Fig. 3 — IPC (relative to peak) vs LLC way count, prefetchers on",
+        &headers,
+        |b, sys, cfg| {
             // The roster is already fanned out across `jobs`; the sweep's
             // inner way loop stays serial to avoid oversubscription.
-            let sweep = way_sweep(b, &sys, &cfg, 1);
+            let sweep = way_sweep(b, sys, cfg, 1);
             let needs = ways_needed(&sweep, thresholds::LLC_SENSITIVE_PERF);
             let mut row = vec![
                 b.name.to_string(),
                 format!("{needs}"),
-                format!("{}", if needs >= thresholds::LLC_SENSITIVE_WAYS { "yes" } else { "no" }),
+                yes(needs >= thresholds::LLC_SENSITIVE_WAYS),
             ];
             let peak = sweep.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
             row.extend(sweep.iter().map(|&i| format!("{:.2}", i / peak)));
-            row
-        })
-    });
-    print!(
-        "{}",
-        report::table(
-            "Fig. 3 — IPC (relative to peak) vs LLC way count, prefetchers on",
-            &headers,
-            &rows,
-        )
+            (row, None)
+        },
     );
 }
 
-fn fig5(quick: bool) {
-    // Demonstrates the detector cascade on one Pref Agg mix.
-    let mix: Mix = build_mixes(42, 1)[1].clone();
-    let mut sys_cfg = SystemConfig::scaled(8);
-    sys_cfg.set_num_cores(mix.num_cores());
-    let workloads = mix.instantiate(sys_cfg.llc.size_bytes);
-    let mut sys = System::new(sys_cfg, workloads);
-    sys.run(if quick { 300_000 } else { 600_000 });
-    let deltas = backend::sample(&mut sys, if quick { 40_000 } else { 100_000 });
-    let det_cfg = DetectorConfig::default();
-    let agg = detect_agg(&deltas, &det_cfg);
-    let rows: Vec<Vec<String>> = deltas
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let m = metrics(d);
-            vec![
-                format!("core {i}"),
-                mix.slots[i].name().to_string(),
-                format!("{:.2}", m.pga),
-                format!("{:.2}", m.l2_pmr),
-                format!("{:.4}", m.l2_ptr),
-                format!("{}", if agg.contains(&i) { "AGG" } else { "-" }),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
+/// Fig. 5: the detector cascade on one Pref Agg mix.
+fn run_fig5(r: &mut Run, name: &'static str) {
+    let quick = r.args.quick;
+    let cycles = if quick { 340_000u64 } else { 700_000 } * 8;
+    let out = r.bench.measure(name, 1, cycles, || {
+        let mix: Mix = build_mixes(42, 1)[1].clone();
+        let mut sys_cfg = SystemConfig::scaled(8);
+        sys_cfg.set_num_cores(mix.num_cores());
+        let workloads = mix.instantiate(sys_cfg.llc.size_bytes);
+        let mut sys = System::new(sys_cfg, workloads);
+        sys.run(if quick { 300_000 } else { 600_000 });
+        let deltas = backend::sample(&mut sys, if quick { 40_000 } else { 100_000 });
+        let det_cfg = DetectorConfig::default();
+        let agg = detect_agg(&deltas, &det_cfg);
+        let rows: Vec<Vec<String>> = deltas
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let m = metrics(d);
+                vec![
+                    format!("core {i}"),
+                    mix.slots[i].name().to_string(),
+                    format!("{:.2}", m.pga),
+                    format!("{:.2}", m.l2_pmr),
+                    format!("{:.4}", m.l2_ptr),
+                    format!("{}", if agg.contains(&i) { "AGG" } else { "-" }),
+                ]
+            })
+            .collect();
         report::table(
             &format!(
                 "Fig. 5 — Agg-set detection on {} (PGA≥{}, PMR≥{}, PTR≥{})",
@@ -916,137 +816,146 @@ fn fig5(quick: bool) {
             &["core", "benchmark", "PGA", "PMR", "PTR", "verdict"],
             &rows,
         )
-    );
-    let _ = ControllerConfig::default();
+    });
+    r.finish(name, Ok(Leg { out, ..Leg::default() }));
 }
 
-fn needed_mechanisms(target: &str) -> Vec<Mechanism> {
-    match target {
-        "fig7" | "fig8" => vec![Mechanism::Pt],
-        "fig9" | "fig10" => vec![Mechanism::Dunn, Mechanism::PrefCp, Mechanism::PrefCp2],
-        "fig11" | "fig12" => vec![Mechanism::CmmA, Mechanism::CmmB, Mechanism::CmmC],
-        _ => Mechanism::all_managed().to_vec(),
+/// Runs the shared (mix × mechanism) evaluation under `mechs` as perf-log
+/// target `name` and renders it through `views`.
+fn run_eval(r: &mut Run, name: &str, what: &str, mechs: &[Mechanism], views: &[View]) {
+    let cfg = eval_cfg(r.args, r.traces);
+    let (n_cells, cycles) = eval_volume(&cfg, mechs);
+    let ckpt = r.ckpt;
+    let eval = r
+        .bench
+        .measure(name, n_cells, cycles, || figures::evaluate_resumable(mechs, &cfg, true, ckpt));
+    let csv = r.args.csv.as_deref();
+    let leg = eval.map(|eval| Leg {
+        out: views.iter().map(|view| view(&eval, csv)).collect(),
+        cells: journal::eval_cells(&eval),
+        ..Leg::default()
+    });
+    r.finish(what, leg);
+}
+
+/// The `all` target: every `IN_ALL` entry of [`TARGETS`]. The roster
+/// targets run in table order; the evaluation views share one evaluation
+/// of every managed mechanism (the union of what they need).
+fn run_all(r: &mut Run, name: &'static str) {
+    let members = || TARGETS.iter().filter(|t| t.has(IN_ALL));
+    for t in members() {
+        if let Own(run) = t.runner {
+            run(r, t.name);
+        }
     }
+    let views: Vec<View> = members()
+        .filter_map(|t| match t.runner {
+            Eval(_, view) => Some(view),
+            _ => None,
+        })
+        .collect();
+    run_eval(r, "evaluate", name, &Mechanism::all_managed(), &views);
 }
 
-fn print_eval_target(target: &str, eval: &Evaluation, csv: &Option<std::path::PathBuf>) {
-    match target {
-        "fig7" => {
-            let (hs, ws) = figures::fig7(eval);
-            emit(&hs, csv);
-            emit(&ws, csv);
+/// The `overhead` view: per-cell controller overhead (it has no figure
+/// series to export).
+fn overhead(eval: &Evaluation, _csv: Option<&Path>) -> String {
+    let mut rows = Vec::new();
+    for w in &eval.workloads {
+        for (&m, r) in &w.managed {
+            rows.push(vec![
+                w.mix.name.clone(),
+                m.label().to_string(),
+                format!("{:.4}%", r.overhead_ratio * 100.0),
+            ]);
         }
-        "fig8" => emit(&figures::fig8(eval), csv),
-        "fig9" => {
-            let (hs, ws) = figures::fig9(eval);
-            emit(&hs, csv);
-            emit(&ws, csv);
-        }
-        "fig10" => emit(&figures::fig10(eval), csv),
-        "fig11" => {
-            let (hs, ws) = figures::fig11(eval);
-            emit(&hs, csv);
-            emit(&ws, csv);
-        }
-        "fig12" => emit(&figures::fig12(eval), csv),
-        "fig13" => emit(&figures::fig13(eval), csv),
-        "fig14" => emit(&figures::fig14(eval), csv),
-        "fig15" => emit(&figures::fig15(eval), csv),
-        "fairness" => emit(&figures::fairness(eval), csv),
-        "overhead" => {
-            let mut rows = Vec::new();
-            for w in &eval.workloads {
-                for (&m, r) in &w.managed {
-                    rows.push(vec![
-                        w.mix.name.clone(),
-                        m.label().to_string(),
-                        format!("{:.4}%", r.overhead_ratio * 100.0),
-                    ]);
-                }
-            }
-            rows.sort();
-            print!(
-                "{}",
-                report::table(
-                    "Controller overhead (paper reports <0.1%)",
-                    &["workload", "mechanism", "overhead"],
-                    &rows,
-                )
-            );
-        }
-        other => unreachable!("unhandled eval target {other}"),
     }
+    rows.sort();
+    report::table(
+        "Controller overhead (paper reports <0.1%)",
+        &["workload", "mechanism", "overhead"],
+        &rows,
+    )
 }
 
-fn run_ablations(args: &Args, trace_set: Option<&TraceSet>, log: &Progress) -> Vec<JournalCell> {
-    let mut cfg = if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-    if args.quick {
+fn run_ablate(r: &mut Run, name: &'static str) {
+    let e = exp_cfg(r.args.quick);
+    // 18 grid points, each ≈ one mix of alone runs + 2 mix runs.
+    let per_point =
+        8 * (e.warmup_cycles + e.alone_cycles) + 2 * (e.warmup_cycles + e.total_cycles) * 8;
+    let mut cfg = e;
+    if r.args.quick {
         cfg.total_cycles = 1_000_000;
     }
-    let mixes = match trace_set {
+    let mixes = match r.traces {
         Some(set) => set.build_mixes(8),
         None => ablate::default_mixes(),
     };
-    let mut cells: Vec<JournalCell> = Vec::new();
-    let mut dump = |title: &str, sweep: &str, pts: Vec<ablate::AblationPoint>| {
-        let rows: Vec<Vec<String>> = pts
-            .iter()
-            .map(|p| vec![p.setting.clone(), p.mix.clone(), format!("{:.3}", p.norm_hs)])
-            .collect();
-        print!("{}", report::table(title, &["setting", "workload", "CMM-a norm. HS"], &rows));
-        // The journal records the CMM-a decision telemetry of every grid
-        // point, labelled by sweep and setting.
-        for p in pts {
-            cells.push((format!("{sweep}[{}] {}: CMM-a", p.setting, p.mix), p.epochs));
+    let (jobs, log) = (r.args.jobs, r.log);
+    let leg = r.bench.measure(name, 18 * 10, 18 * per_point, || {
+        let mut leg = Leg::default();
+        type Sweep = fn(&ExperimentConfig, &[Mix], usize) -> Vec<ablate::AblationPoint>;
+        let sweeps: [(&str, &str, &str, Sweep); 3] = [
+            (
+                "partition scale",
+                "partition-scale",
+                "Ablation — partition sizing factor (paper: 1.5×)",
+                ablate::ablate_partition_scale,
+            ),
+            (
+                "epoch ratio",
+                "epoch-ratio",
+                "Ablation — execution-epoch : sampling-interval ratio (paper: 50:1)",
+                ablate::ablate_epoch_ratio,
+            ),
+            ("QBS", "qbs", "Ablation — inclusive-LLC QBS victim selection", ablate::ablate_qbs),
+        ];
+        for (note, label, title, sweep) in sweeps {
+            log.note(&format!("ablation: {note}"));
+            let pts = sweep(&cfg, &mixes, jobs);
+            let rows: Vec<Vec<String>> = pts
+                .iter()
+                .map(|p| vec![p.setting.clone(), p.mix.clone(), format!("{:.3}", p.norm_hs)])
+                .collect();
+            leg.out.push_str(&report::table(
+                title,
+                &["setting", "workload", "CMM-a norm. HS"],
+                &rows,
+            ));
+            // The journal records the CMM-a decision telemetry of every
+            // grid point, labelled by sweep and setting.
+            for p in pts {
+                leg.cells.push((format!("{label}[{}] {}: CMM-a", p.setting, p.mix), p.epochs));
+            }
         }
-    };
-    log.note("ablation: partition scale");
-    dump(
-        "Ablation — partition sizing factor (paper: 1.5×)",
-        "partition-scale",
-        ablate::ablate_partition_scale(&cfg, &mixes, args.jobs),
-    );
-    log.note("ablation: epoch ratio");
-    dump(
-        "Ablation — execution-epoch : sampling-interval ratio (paper: 50:1)",
-        "epoch-ratio",
-        ablate::ablate_epoch_ratio(&cfg, &mixes, args.jobs),
-    );
-    log.note("ablation: QBS");
-    dump(
-        "Ablation — inclusive-LLC QBS victim selection",
-        "qbs",
-        ablate::ablate_qbs(&cfg, &mixes, args.jobs),
-    );
-    cells
+        leg
+    });
+    r.finish(name, Ok(leg));
 }
 
-fn run_extension(args: &Args, log: &Progress) -> Vec<JournalCell> {
-    use cmm_core::experiment::{run_alone_ipcs, run_mix_pooled, WarmupPool};
-    let cfg = if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-    let mixes: Vec<Mix> = build_mixes(args.seed, 2)
+fn run_extension(r: &mut Run, name: &'static str) {
+    let cfg = exp_cfg(r.args.quick);
+    let per_mix =
+        8 * (cfg.warmup_cycles + cfg.alone_cycles) + 3 * (cfg.warmup_cycles + cfg.total_cycles) * 8;
+    let mixes: Vec<Mix> = build_mixes(r.args.seed, 2)
         .into_iter()
-        .filter(|m| {
-            matches!(
-                m.category,
-                cmm_workloads::Category::PrefUnfri | cmm_workloads::Category::PrefAgg
-            )
-        })
+        .filter(|m| matches!(m.category, Category::PrefUnfri | Category::PrefAgg))
         .collect();
-    let results: Vec<(Vec<String>, Vec<JournalCell>)> =
-        parallel_map(&mixes, args.jobs, |_, mix| {
-            log.cell(&format!("extension: {}", mix.name), || {
+    let (jobs, log) = (r.args.jobs, r.log);
+    let leg = r.bench.measure(name, 4 * 11, 4 * per_mix, || {
+        let results: Vec<(Vec<String>, Vec<JournalCell>)> = parallel_map(&mixes, jobs, |_, mix| {
+            log.cell(&format!("{name}: {}", mix.name), || {
                 let pool = WarmupPool::new();
                 let alone = run_alone_ipcs(mix, &cfg);
                 let base = run_mix_pooled(&pool, mix, Mechanism::Baseline, &cfg);
-                let hs_base = cmm_metrics::harmonic_speedup(&alone, &base.ipcs);
+                let hs_base = met::harmonic_speedup(&alone, &base.ipcs);
                 let mut row = vec![mix.name.clone()];
                 let mut cells =
                     vec![(format!("{}: {}", mix.name, Mechanism::Baseline.label()), base.epochs)];
                 for mech in [Mechanism::Pt, Mechanism::PtFine] {
                     let r = run_mix_pooled(&pool, mix, mech, &cfg);
-                    let hs = cmm_metrics::harmonic_speedup(&alone, &r.ipcs) / hs_base;
-                    let wc = cmm_metrics::worst_case_speedup(&r.ipcs, &base.ipcs);
+                    let hs = met::harmonic_speedup(&alone, &r.ipcs) / hs_base;
+                    let wc = met::worst_case_speedup(&r.ipcs, &base.ipcs);
                     row.push(format!("{hs:.3}"));
                     row.push(format!("{wc:.3}"));
                     cells.push((format!("{}: {}", mix.name, mech.label()), r.epochs));
@@ -1054,21 +963,149 @@ fn run_extension(args: &Args, log: &Progress) -> Vec<JournalCell> {
                 (row, cells)
             })
         });
-    let mut rows = Vec::with_capacity(results.len());
-    let mut cells = Vec::new();
-    for (row, mix_cells) in results {
-        rows.push(row);
-        cells.extend(mix_cells);
-    }
-    print!(
-        "{}",
-        report::table(
+        let (rows, cells): (Vec<Vec<String>>, Vec<Vec<JournalCell>>) = results.into_iter().unzip();
+        let out = report::table(
             "Extension — binary PT vs per-engine PT-fine (norm. HS / worst case)",
             &["workload", "PT HS", "PT wc", "PT-fine HS", "PT-fine wc"],
             &rows,
-        )
+        );
+        Leg { out, cells: cells.concat(), ..Leg::default() }
+    });
+    r.finish(name, Ok(leg));
+}
+
+/// Fault-injection sweep: CMM-a under uniform faults, then CBP under
+/// MBA-register faults (the CBP -> CMM-a degradation rung). Each leg is
+/// its own perf-log target, named by the leg.
+fn run_faults(r: &mut Run, _: &'static str) {
+    let e = exp_cfg(r.args.quick);
+    let n = faults::RATES.len() as u64;
+    let per_rate = (e.warmup_cycles + e.total_cycles) * 8;
+    let (a, log, ckpt) = (r.args, r.log, r.ckpt);
+    for leg in [&faults::UNIFORM, &faults::MBA] {
+        let sweep = r.bench.measure(leg.name, n, n * per_rate, || {
+            faults::sweep_resumable(
+                leg,
+                a.quick,
+                a.seed,
+                a.fault_seed,
+                a.jobs,
+                a.attempts,
+                log,
+                ckpt,
+            )
+        });
+        let done = sweep.map(|s| Leg {
+            out: faults::table(leg, &s),
+            gate_failure: (!faults::passes(&s)).then_some(leg.cliff),
+            cells: faults::journal_cells(leg, s),
+        });
+        r.finish(leg.name, done);
+    }
+}
+
+fn run_governor(r: &mut Run, name: &'static str) {
+    let e = exp_cfg(r.args.quick);
+    // Two legs (bare, governed) per swept rate.
+    let n = 2 * governor::RATES.len() as u64;
+    let per_cell = (e.warmup_cycles + e.total_cycles) * 8;
+    let (a, log, ckpt) = (r.args, r.log, r.ckpt);
+    let sweep = r.bench.measure(name, n, n * per_cell, || {
+        governor::sweep_resumable(a.quick, a.seed, a.fault_seed, a.jobs, a.attempts, log, ckpt)
+    });
+    let done = sweep.map(|s| Leg {
+        out: governor::table(&s),
+        gate_failure: (!governor::passes(&s)).then_some(governor::GATE_FAILURE),
+        cells: governor::journal_cells(s),
+    });
+    r.finish(name, done);
+}
+
+fn run_learn(r: &mut Run, name: &'static str) {
+    let e = exp_cfg(r.args.quick);
+    let model = r.model.expect("--model targets resolve their model before running");
+    // 4 standard mixes × 5 mechanisms (baseline, CMM-a, CBP and the two
+    // learned controllers).
+    let n = 4 * learn::MECHS.len() as u64;
+    let per_cell = (e.warmup_cycles + e.total_cycles) * 8;
+    let (a, log, ckpt) = (r.args, r.log, r.ckpt);
+    let eval = r.bench.measure(name, n, n * per_cell, || {
+        learn::evaluate_resumable(&e, a.seed, a.jobs, a.attempts, log, ckpt, model)
+    });
+    let done = eval.map(|results| Leg {
+        out: learn::tables(&results),
+        gate_failure: (!learn::passes(&results)).then_some(learn::GATE_FAILURE),
+        cells: learn::journal_cells(results),
+    });
+    r.finish(name, done);
+}
+
+/// Topologies swept by `repro scale` when `--topology` doesn't narrow it
+/// to one leg (the CI matrix does).
+const SCALE_SWEEP: [&str; 3] = ["1x8", "2x16", "4x32"];
+
+/// `repro scale`: Baseline and CMM-a on tiled mixes across the topology
+/// sweep, reporting per-CAT-domain hm_ipc. Each leg is its own
+/// `scale_<label>` perf-log target, so `bench-compare` gates many-core
+/// throughput (wall, sim-cycles/s) separately from the 8-core targets.
+fn run_scale(r: &mut Run, name: &'static str) {
+    let topos: Vec<Topology> = match r.args.topology {
+        Some(t) => vec![t],
+        None => SCALE_SWEEP.iter().map(|s| s.parse().expect("sweep labels parse")).collect(),
+    };
+    let mechs = [Mechanism::Baseline, Mechanism::CmmA];
+    let (jobs, log) = (r.args.jobs, r.log);
+    let mut leg = Leg::default();
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    for topo in topos {
+        // The `--quick` eval durations are sized for 8 cores, so the
+        // many-core legs (4x32 simulates 128 cores per cell) get a
+        // further cut to stay inside the CI smoke budget.
+        let mut cfg = exp_cfg(r.args.quick);
+        if r.args.quick {
+            cfg.warmup_cycles = 300_000;
+            cfg.total_cycles = 600_000;
+        }
+        cfg.sys.set_topology(topo);
+        let pairs: Vec<(Mix, Mechanism)> = build_mixes(r.args.seed, 1)
+            .into_iter()
+            .take(2)
+            .map(|m| m.tiled(topo.total_cores()))
+            .flat_map(|m| mechs.into_iter().map(move |mech| (m.clone(), mech)))
+            .collect();
+        let per_cell = (cfg.warmup_cycles + cfg.total_cycles) * topo.total_cores() as u64;
+        let n = pairs.len() as u64;
+        let results = r.bench.measure(&format!("{name}_{}", topo.label()), n, n * per_cell, || {
+            let pool = WarmupPool::new();
+            parallel_map(&pairs, jobs, |_, (mix, mech)| {
+                log.cell(&format!("{name} {}: {} {}", topo.label(), mix.name, mech.label()), || {
+                    run_mix_pooled(&pool, mix, *mech, &cfg)
+                })
+            })
+        });
+        let len = topo.cores_per_socket;
+        for r in results {
+            for d in 0..topo.sockets {
+                rows.push(vec![
+                    topo.label(),
+                    r.mix_name.clone(),
+                    r.mechanism.label().to_string(),
+                    d.to_string(),
+                    format!("{:.4}", met::hm_ipc(&r.ipcs[d * len..(d + 1) * len])),
+                ]);
+            }
+            leg.cells.push((
+                format!("{name} {}: {} {}", topo.label(), r.mix_name, r.mechanism.label()),
+                r.epochs,
+            ));
+        }
+    }
+    leg.out = report::table(
+        "Scale sweep — per-CAT-domain harmonic-mean IPC",
+        &["topology", "mix", "mechanism", "domain", "hm_ipc"],
+        &rows,
     );
-    cells
+    r.finish(name, Ok(leg));
 }
 
 /// Reports cells that exhausted their attempt budget; the run continues to
@@ -1092,50 +1129,240 @@ fn report_cell_failures(target: &str, failures: &[CellFailure], ckpt: Option<&Ch
     );
 }
 
-/// Targets that build their machines without [`eval_cfg`] and so always
-/// run single-socket: a multi-socket `--topology` on them is refused
-/// rather than journaled as if it had run.
-const SINGLE_SOCKET_TARGETS: [&str; 10] = [
-    "faults",
-    "governor",
-    "learn",
-    "extension",
-    "ablate",
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig5",
+/// Renders an evaluation for stdout, writing its figure series under
+/// `--csv DIR` when given.
+type View = fn(&Evaluation, Option<&Path>) -> String;
+
+/// How a target runs.
+enum Runner {
+    /// Its own function, which hands every leg to [`Run::finish`].
+    Own(fn(&mut Run, &'static str)),
+    /// One view of the shared (mix × mechanism) evaluation: the managed
+    /// mechanisms it needs, and how it renders them.
+    Eval(&'static [Mechanism], View),
+}
+
+// A target's capabilities: the optional flags it honours (`main` refuses
+// each one a target lacks with exit 2, before loading traces, resolving a
+// model or opening a checkpoint), how it reads `--topology`, the journal
+// schema extensions its epochs carry, and whether `all` runs it.
+/// A multi-socket `--topology` (`1x8` is a no-op everywhere).
+const TOPOLOGY: u16 = 1;
+/// `--topology` of any shape picks the legs of a topology sweep, so even
+/// `1x8` joins the run identity.
+const SWEEP: u16 = 1 << 1;
+/// `--resume`: the target's cells are checkpointed.
+const RESUME: u16 = 1 << 2;
+/// `--trace-dir`: the target's mixes can come from recorded traces.
+const TRACE_DIR: u16 = 1 << 3;
+/// `--csv`: the target exports figure series.
+const CSV: u16 = 1 << 4;
+/// `--model`: the target runs the learned classifier (and has `train`).
+const MODEL: u16 = 1 << 5;
+/// Journal schema `/4`: epochs may carry MBA levels.
+const MBA: u16 = 1 << 6;
+/// Journal schema `/5`: epochs carry governor events.
+const GOVERNOR: u16 = 1 << 7;
+/// Journal schema `/6`: epochs carry learned features and actions.
+const LEARN: u16 = 1 << 8;
+/// `repro all` runs this target.
+const IN_ALL: u16 = 1 << 9;
+/// What every view of the shared evaluation honours.
+const EVAL: u16 = TOPOLOGY | RESUME | TRACE_DIR | CSV;
+
+/// An optional flag a target may honour.
+struct Flag {
+    /// The capability that accepts it.
+    cap: u16,
+    /// Its name, as `--help` lists it.
+    help: &'static str,
+    /// The flag as given on the command line, if it was.
+    given: fn(&Args) -> Option<String>,
+    /// Why a target without `cap` refuses it.
+    why: &'static str,
+}
+
+const FLAGS: [Flag; 5] = [
+    Flag {
+        cap: TOPOLOGY,
+        help: "--topology",
+        given: |a| {
+            a.topology.filter(|t| !t.is_single()).map(|t| format!("--topology {}", t.label()))
+        },
+        why: "this target (or a leg of it) runs single-socket only",
+    },
+    Flag {
+        cap: RESUME,
+        help: "--resume",
+        given: |a| a.resume.as_ref().map(|_| "--resume".into()),
+        why: "this target has no checkpointed cells",
+    },
+    Flag {
+        cap: TRACE_DIR,
+        help: "--trace-dir",
+        given: |a| a.trace_dir.as_ref().map(|_| "--trace-dir".into()),
+        why: "this target runs no trace-driven mixes",
+    },
+    Flag {
+        cap: CSV,
+        help: "--csv",
+        given: |a| a.csv.as_ref().map(|_| "--csv".into()),
+        why: "this target exports no figure series",
+    },
+    Flag {
+        cap: MODEL,
+        help: "--model",
+        given: |a| a.model.as_ref().map(|_| "--model".into()),
+        why: "this target runs no learned classifier",
+    },
 ];
+
+/// One `repro` target: its name, its capabilities and how it runs.
+struct Target {
+    name: &'static str,
+    caps: u16,
+    runner: Runner,
+}
+
+const fn own(name: &'static str, caps: u16, run: fn(&mut Run, &'static str)) -> Target {
+    Target { name, caps, runner: Own(run) }
+}
+
+/// A figure view of the shared evaluation, run by `all` too.
+const fn view(name: &'static str, mechs: &'static [Mechanism], view: View) -> Target {
+    Target { name, caps: EVAL | IN_ALL, runner: Eval(mechs, view) }
+}
+
+/// Every `repro` target, in `--help` and `all` order (the module docs
+/// describe each). The last, `all`, runs when no target is given.
+const TARGETS: &[Target] = &[
+    own("table1", IN_ALL, run_table1),
+    own("fig1", IN_ALL, run_fig1),
+    own("fig2", IN_ALL, run_fig2),
+    own("fig3", IN_ALL, run_fig3),
+    own("fig5", IN_ALL, run_fig5),
+    view("fig7", &[Mechanism::Pt], |e, csv| emit(csv, figures::fig7(e))),
+    view("fig8", &[Mechanism::Pt], |e, csv| emit(csv, [figures::fig8(e)])),
+    view("fig9", &figures::CP_MECHS, |e, csv| emit(csv, figures::fig9(e))),
+    view("fig10", &figures::CP_MECHS, |e, csv| emit(csv, [figures::fig10(e)])),
+    view("fig11", &figures::CMM_MECHS, |e, csv| emit(csv, figures::fig11(e))),
+    view("fig12", &figures::CMM_MECHS, |e, csv| emit(csv, [figures::fig12(e)])),
+    view("fig13", &Mechanism::all_managed(), |e, csv| emit(csv, [figures::fig13(e)])),
+    view("fig14", &Mechanism::all_managed(), |e, csv| emit(csv, [figures::fig14(e)])),
+    view("fig15", &Mechanism::all_managed(), |e, csv| emit(csv, [figures::fig15(e)])),
+    view("fairness", &Mechanism::all_managed(), |e, csv| emit(csv, [figures::fairness(e)])),
+    view("overhead", &Mechanism::all_managed(), overhead),
+    Target {
+        name: "bandwidth",
+        caps: EVAL | MBA,
+        runner: Eval(&figures::BANDWIDTH_MECHS, |e, csv| emit(csv, figures::bandwidth(e))),
+    },
+    own("ablate", TRACE_DIR, run_ablate),
+    own("extension", 0, run_extension),
+    own("faults", RESUME | MBA, run_faults),
+    own("governor", RESUME | MBA | GOVERNOR, run_governor),
+    own("learn", RESUME | MODEL | MBA | LEARN, run_learn),
+    own("scale", TOPOLOGY | SWEEP, run_scale),
+    own("all", RESUME | TRACE_DIR | CSV, run_all),
+];
+
+impl Target {
+    fn has(&self, cap: u16) -> bool {
+        self.caps & cap != 0
+    }
+
+    /// The first optional flag given that this target does not honour, as
+    /// a one-line reason.
+    fn refusal(&self, args: &Args) -> Option<String> {
+        FLAGS
+            .iter()
+            .filter(|f| !self.has(f.cap))
+            .find_map(|f| Some(format!("{} refused: {}", (f.given)(args)?, f.why)))
+    }
+
+    fn run(&self, r: &mut Run) {
+        match self.runner {
+            Own(run) => run(r, self.name),
+            Eval(mechs, view) => run_eval(r, self.name, self.name, mechs, &[view]),
+        }
+    }
+}
+
+/// `--help`: the shared flags, then every target with the optional flags
+/// it honours, then the subcommands.
+fn usage() -> String {
+    let mut s = String::from(
+        "usage: repro <target> [--quick] [--mixes N] [--seed S] [--fault-seed S] [--jobs N]\n       \
+         [--bench-json PATH] [--journal PATH] [--attempts N] [--topology SxM[@shared|@CYCLES]]\n       \
+         [--resume CKPT] [--trace-dir DIR] [--csv DIR] [--model PATH]\n\n\
+         targets, with the optional flags each honours (any other is refused, exit 2):\n",
+    );
+    for t in TARGETS {
+        let flags: Vec<&str> = FLAGS.iter().filter(|f| t.has(f.cap)).map(|f| f.help).collect();
+        s.push_str(format!("  {:<10} {}", t.name, flags.join(" ")).trim_end());
+        s.push('\n');
+    }
+    s.push_str(
+        "\n       \
+         repro learn train [--quick] [--out PATH] — fit the phase classifier and write it as \
+         cmm-model/1 (default mlsel.model)\n       \
+         repro trace record <dir> [mix-name] [--ops N] [--seed S]\n       \
+         repro trace convert <in> <out>\n       \
+         repro trace stat <file>...\n       \
+         repro soak [--jobs N]\n       \
+         repro bench-compare <baseline.json> <current.json> [--noise F] [--scps-floor N]\n       \
+         repro journal-summary <journal.jsonl> [--csv PATH]\n       \
+         repro journal-diff <a.jsonl> <b.jsonl>\n\n\
+         crash safety: --resume CKPT keeps a cmm-ckpt/1 sidecar of completed\n\
+         cells and splices them on re-run (byte-identical output); --attempts\n\
+         bounds per-cell retries after a panic. --chaos-seed/--chaos-rate/\n\
+         --chaos-mode/--chaos-kill inject harness faults (used by 'repro soak').",
+    );
+    s
+}
 
 fn main() {
     let args = parse_args();
-    if let Some(t) = args.topology.filter(|t| !t.is_single()) {
-        if SINGLE_SOCKET_TARGETS.contains(&args.target.as_str()) {
-            eprintln!(
-                "repro {}: --topology {} refused: this target runs single-socket only",
-                args.target,
-                t.label()
-            );
-            std::process::exit(2);
-        }
-    }
     // CI subcommands: pure file processing, no simulation, no perf log.
     // `soak` re-invokes this binary against a scratch dir and gates on
     // byte identity of the converged artifacts.
-    match args.target.as_str() {
-        "bench-compare" => std::process::exit(run_bench_compare(&args)),
-        "journal-summary" => std::process::exit(run_journal_summary(&args)),
-        "journal-diff" => std::process::exit(run_journal_diff(&args)),
-        "trace" => {
+    match args.target.as_deref() {
+        Some("bench-compare") => std::process::exit(run_bench_compare(&args)),
+        Some("journal-summary") => std::process::exit(run_journal_summary(&args)),
+        Some("journal-diff") => std::process::exit(run_journal_diff(&args)),
+        Some("trace") => {
             std::process::exit(cmm_bench::tracecmd::run(&args.operands, args.seed, args.ops))
         }
-        "learn" if args.operands.first().map(String::as_str) == Some("train") => {
-            std::process::exit(run_learn_train(&args))
-        }
-        "soak" => std::process::exit(soak::run(args.jobs)),
+        Some("soak") => std::process::exit(soak::run(args.jobs)),
         _ => {}
     }
+    // Without a target, the last entry of the table runs: `all`.
+    let found = match &args.target {
+        None => TARGETS.last(),
+        Some(name) => TARGETS.iter().find(|t| t.name == name),
+    };
+    let Some(target) = found else {
+        let names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+        let name = args.target.as_deref().unwrap_or_default();
+        eprintln!("unknown target {name}; targets: {}", names.join(" "));
+        std::process::exit(2);
+    };
+    if let Some(why) = target.refusal(&args) {
+        eprintln!("repro {}: {why}", target.name);
+        std::process::exit(2);
+    }
+    let log = Progress::new(true);
+    let bench = BenchLog::new(args.jobs, args.quick);
+    // A `--model` target fits its classifier with `train`, or resolves it
+    // up front (load --model or train in-process); the model digest joins
+    // the run identity below, so `--resume` refuses to splice cells
+    // evaluated under a different model.
+    let model: Option<(Model, String)> = target.has(MODEL).then(|| {
+        if args.operands.first().map(String::as_str) == Some("train") {
+            std::process::exit(run_learn_train(&args));
+        }
+        resolve_learn_model(&args, &log)
+    });
     // Trace-driven runs: the trace set replaces the synthetic mixes and
     // its checksums join the config digest below, so `--resume` refuses
     // to splice cells recorded against a different trace set.
@@ -1167,71 +1394,52 @@ fn main() {
             args.chaos_seed, args.chaos_rate, args.chaos_mode, args.chaos_kill
         );
     }
-    let log = Progress::new(true);
-    let mut bench = BenchLog::new(args.jobs, args.quick);
-    let roster_n = spec::roster().len() as u64;
-    let (_, ccfg) = char_cfg(args.quick);
-    let c1 = char_cycles(&ccfg);
     // Run identity, shared by the journal manifest and the resume
     // checkpoint. Deliberately excludes --jobs, --attempts and the chaos
     // flags: none of them can change a deterministic run's results, so an
     // interrupted run may legitimately resume at a different parallelism.
     let mut config_debug = format!(
         "target={};quick={};seed={};fault_seed={};mixes={:?};exp={:?};char={:?};ctrl={:?}",
-        args.target,
+        target.name,
         args.quick,
         args.seed,
         args.fault_seed,
         args.mixes,
-        if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() },
-        ccfg,
+        exp_cfg(args.quick),
+        char_cfg(args.quick).1,
         if args.quick { ControllerConfig::quick() } else { ControllerConfig::default() },
     );
-    // Appended only for --trace-dir runs, so synthetic runs keep their
-    // historical digests (old checkpoints stay resumable).
+    // Each suffix below is appended only when its input changes the run,
+    // so plain runs keep their historical digests (old checkpoints stay
+    // resumable) and cmm-journal/2 manifests: the trace set, a topology
+    // (multi-socket, or any one on a sweep, which it restricts to one
+    // leg), and the model.
     if let Some(set) = &trace_set {
         config_debug.push_str(&format!(";traces={}", set.digest()));
     }
-    // Topology joins the digest only when it changes the run: multi-socket
-    // anywhere, or any explicit --topology on the `scale` sweep (which it
-    // restricts to one leg). Plain single-socket runs keep their
-    // historical digests and cmm-journal/2 manifests.
     let topo_label = match args.topology {
-        Some(t) if args.target == "scale" || !t.is_single() => Some(t.label()),
+        Some(t) if target.has(SWEEP) || !t.is_single() => Some(t.label()),
         _ => None,
     };
     if let Some(label) = &topo_label {
         config_debug.push_str(&format!(";topology={label}"));
     }
-    // The learned target resolves its classifier up front (load --model or
-    // train in-process) and folds the model digest into the run identity,
-    // so `--resume` refuses to splice cells evaluated under a different
-    // model. Legacy targets keep their historical digests untouched.
-    let learn_model: Option<Model> = (args.target == "learn").then(|| {
-        let (model, digest) = resolve_learn_model(&args, &log);
+    if let Some((_, digest)) = &model {
         config_debug.push_str(&format!(";model={digest}"));
-        model
-    });
-    let manifest_topology =
-        topo_label.or_else(|| (args.target == "scale").then(|| SCALE_SWEEP.join("+")));
+    }
     let meta = journal::JournalMeta {
-        target: args.target.clone(),
+        target: target.name.to_string(),
         quick: args.quick,
         seed: args.seed,
         config_debug,
-        topology: manifest_topology,
-        // MBA-capable targets journal per-epoch delay levels (/4). Every
-        // other target keeps its historical schema byte-for-byte.
-        mba: matches!(args.target.as_str(), "bandwidth" | "faults" | "governor" | "learn"),
-        // The governed target journals per-epoch governor events (/5).
-        governor: args.target == "governor",
-        // The learned target journals per-epoch features and actions (/6).
-        learn: args.target == "learn",
+        topology: topo_label.or_else(|| target.has(SWEEP).then(|| SCALE_SWEEP.join("+"))),
+        mba: target.has(MBA),
+        governor: target.has(GOVERNOR),
+        learn: target.has(LEARN),
     };
     let digest = cmm_core::telemetry::config_digest(&meta.config_debug);
-    let ckpt: Option<Checkpoint> = match &args.resume {
-        None => None,
-        Some(path) => match Checkpoint::open(path, &args.target, &digest) {
+    let ckpt: Option<Checkpoint> = args.resume.as_ref().map(|path| {
+        match Checkpoint::open(path, target.name, &digest) {
             Ok((ck, info)) => {
                 if info.fresh {
                     eprintln!("[repro] checkpointing to {} (new sidecar)", path.display());
@@ -1256,382 +1464,40 @@ fn main() {
                         f.key, f.attempts, f.panic_msg
                     );
                 }
-                Some(ck)
+                ck
             }
             Err(e) => {
                 eprintln!("[repro] --resume: {e}");
                 std::process::exit(2);
             }
-        },
+        }
+    });
+    let mut run = Run {
+        args: &args,
+        log: &log,
+        traces: trace_set.as_ref(),
+        ckpt: ckpt.as_ref(),
+        model: model.as_ref().map(|(m, _)| m),
+        bench,
+        cells: Vec::new(),
+        exit_code: 0,
     };
-    // Controller decision telemetry, per (run × mechanism) cell; becomes
-    // the JSONL run journal after the target finishes.
-    let mut cells: Vec<JournalCell> = Vec::new();
-    // Deferred failure (the faults smoothness gate, cells that exhausted
-    // their retry budget): the perf log and journal are still written
-    // before the non-zero exit.
-    let mut exit_code = 0;
-    let eval_targets = [
-        "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fairness",
-        "overhead",
-    ];
-    match args.target.as_str() {
-        "ablate" => {
-            // 18 grid points, each ≈ one mix of alone runs + 2 mix runs.
-            let e =
-                if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-            let per_point =
-                8 * (e.warmup_cycles + e.alone_cycles) + 2 * (e.warmup_cycles + e.total_cycles) * 8;
-            cells = bench.measure("ablate", 18 * 10, 18 * per_point, || {
-                run_ablations(&args, trace_set.as_ref(), &log)
-            });
-        }
-        "extension" => {
-            let e =
-                if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-            let per_mix =
-                8 * (e.warmup_cycles + e.alone_cycles) + 3 * (e.warmup_cycles + e.total_cycles) * 8;
-            cells = bench.measure("extension", 4 * 11, 4 * per_mix, || run_extension(&args, &log));
-        }
-        "faults" => {
-            let e =
-                if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-            let n = faults::RATES.len() as u64;
-            let per_rate = (e.warmup_cycles + e.total_cycles) * 8;
-            let sweep = bench.measure("faults", n, n * per_rate, || {
-                faults::sweep_resumable(
-                    args.quick,
-                    args.seed,
-                    args.fault_seed,
-                    args.jobs,
-                    args.attempts,
-                    &log,
-                    ckpt.as_ref(),
-                )
-            });
-            match sweep {
-                Ok(sweep) => {
-                    print!(
-                        "{}",
-                        report::table(
-                            &format!(
-                                "Fault-injection sweep — CMM-a, hm_ipc vs injected fault rate \
-                                 (floor {:.2}× fault-free)",
-                                faults::SMOOTHNESS_FLOOR
-                            ),
-                            &["rate", "hm_ipc", "rel", "faults", "degraded epochs", "verdict"],
-                            &faults::rows(&sweep),
-                        )
-                    );
-                    if !faults::passes(&sweep) {
-                        eprintln!("[repro] faults: hm_ipc cliffed below the smoothness floor");
-                        exit_code = 1;
-                    }
-                    cells = faults::journal_cells(sweep);
-                }
-                Err(failures) => {
-                    report_cell_failures("faults", &failures, ckpt.as_ref());
-                    exit_code = 1;
-                }
-            }
-            // The MBA-register leg: CBP under faults confined to the MBA
-            // throttle MSR, exercising the CBP -> CMM-a degradation rung.
-            let mba_sweep = bench.measure("faults_mba", n, n * per_rate, || {
-                faults::sweep_mba_resumable(
-                    args.quick,
-                    args.seed,
-                    args.fault_seed,
-                    args.jobs,
-                    args.attempts,
-                    &log,
-                    ckpt.as_ref(),
-                )
-            });
-            match mba_sweep {
-                Ok(sweep) => {
-                    print!(
-                        "{}",
-                        report::table(
-                            &format!(
-                                "MBA-fault sweep — CBP, hm_ipc vs MBA-register fault rate \
-                                 (floor {:.2}× fault-free)",
-                                faults::SMOOTHNESS_FLOOR
-                            ),
-                            &["rate", "hm_ipc", "rel", "faults", "degraded epochs", "verdict"],
-                            &faults::rows(&sweep),
-                        )
-                    );
-                    if !faults::passes(&sweep) {
-                        eprintln!("[repro] faults: MBA leg cliffed below the smoothness floor");
-                        exit_code = 1;
-                    }
-                    cells.extend(faults::mba_journal_cells(sweep));
-                }
-                Err(failures) => {
-                    report_cell_failures("faults (mba leg)", &failures, ckpt.as_ref());
-                    exit_code = 1;
-                }
-            }
-        }
-        "governor" => {
-            let e =
-                if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-            // Two legs (bare, governed) per swept rate.
-            let n = 2 * governor::RATES.len() as u64;
-            let per_cell = (e.warmup_cycles + e.total_cycles) * 8;
-            let sweep = bench.measure("governor", n, n * per_cell, || {
-                governor::sweep_resumable(
-                    args.quick,
-                    args.seed,
-                    args.fault_seed,
-                    args.jobs,
-                    args.attempts,
-                    &log,
-                    ckpt.as_ref(),
-                )
-            });
-            match sweep {
-                Ok(sweep) => {
-                    print!(
-                        "{}",
-                        report::table(
-                            "Safety-governor sweep — CBP bare vs governed, hm_ipc vs fault \
-                             rate (gate: governed >= bare at every nonzero rate)",
-                            &[
-                                "rate",
-                                "hm bare",
-                                "hm gov",
-                                "delta",
-                                "faults",
-                                "rollbacks",
-                                "quarantines",
-                                "breaker trips",
-                                "verdict"
-                            ],
-                            &governor::rows(&sweep),
-                        )
-                    );
-                    if !governor::passes(&sweep) {
-                        eprintln!(
-                            "[repro] governor: governed CBP lost to bare CBP at a nonzero \
-                             fault rate"
-                        );
-                        exit_code = 1;
-                    }
-                    cells = governor::journal_cells(sweep);
-                }
-                Err(failures) => {
-                    report_cell_failures("governor", &failures, ckpt.as_ref());
-                    exit_code = 1;
-                }
-            }
-        }
-        "learn" => {
-            let e =
-                if args.quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-            let model = learn_model.as_ref().expect("learn target resolved a model above");
-            // 4 standard mixes × 5 mechanisms (baseline, CMM-a, CBP and
-            // the two learned controllers).
-            let n = 4 * learn::MECHS.len() as u64;
-            let per_cell = (e.warmup_cycles + e.total_cycles) * 8;
-            let eval = bench.measure("learn", n, n * per_cell, || {
-                learn::evaluate_resumable(
-                    args.quick,
-                    args.seed,
-                    args.jobs,
-                    args.attempts,
-                    &log,
-                    ckpt.as_ref(),
-                    model,
-                )
-            });
-            match eval {
-                Ok(results) => {
-                    print!(
-                        "{}",
-                        report::table(
-                            "Learned controllers — per-mix hm_ipc, fairness and decision \
-                             churn vs CMM-a/CBP",
-                            &learn::EVAL_HEADERS,
-                            &learn::rows(&results),
-                        )
-                    );
-                    print!(
-                        "{}",
-                        report::table(
-                            "ML-Sel vs CMM-a decision diff — per-epoch 0x1A4 agreement",
-                            &learn::AGREEMENT_HEADERS,
-                            &learn::agreement_rows(&results),
-                        )
-                    );
-                    let vrows: Vec<Vec<String>> = learn::verdicts(&results)
-                        .iter()
-                        .map(|v| {
-                            vec![
-                                v.mix.clone(),
-                                format!("{:.3}", v.mlsel_ratio),
-                                format!("{:.3}", v.rl_tail_ratio),
-                                format!("{:.3}", v.rl_run_ratio),
-                                if v.ok() { "ok" } else { "MISS" }.into(),
-                            ]
-                        })
-                        .collect();
-                    print!(
-                        "{}",
-                        report::table(
-                            &format!(
-                                "Gate — ML-Sel >= {floor:.2}x CMM-a on every mix; RL-CBP \
-                                 converges to >= CMM-a (tail or whole-run)",
-                                floor = learn::MLSEL_FLOOR_RATIO
-                            ),
-                            &["mix", "mlsel/cmm", "rl tail/cmm", "rl run/cmm", "verdict"],
-                            &vrows,
-                        )
-                    );
-                    if !learn::passes(&results) {
-                        eprintln!(
-                            "[repro] learn: a learned controller missed its gate (ML-Sel \
-                             floor or RL-CBP convergence)"
-                        );
-                        exit_code = 1;
-                    }
-                    cells = learn::journal_cells(results);
-                }
-                Err(failures) => {
-                    report_cell_failures("learn", &failures, ckpt.as_ref());
-                    exit_code = 1;
-                }
-            }
-        }
-        "scale" => {
-            cells = run_scale(&args, &mut bench, &log);
-        }
-        "bandwidth" => {
-            // Three-resource comparison: the paper's best two-resource
-            // mechanism (CMM-a), the bandwidth-only MBA ablation, and the
-            // CBP coordination of all three knobs, over the standard mixes
-            // (tiled when --topology is multi-socket).
-            let mut cfg = eval_cfg(&args);
-            if let Some(set) = &trace_set {
-                cfg.trace_mixes = Some(set.build_mixes(8));
-            }
-            let mechs = figures::BANDWIDTH_MECHS.to_vec();
-            let (n_cells, cycles) = eval_volume(&cfg, &mechs);
-            let eval = bench.measure("bandwidth", n_cells, cycles, || {
-                figures::evaluate_resumable(&mechs, &cfg, true, ckpt.as_ref())
-            });
-            match eval {
-                Ok(eval) => {
-                    let (hm, fair) = figures::bandwidth(&eval);
-                    emit(&hm, &args.csv);
-                    emit(&fair, &args.csv);
-                    cells = journal::eval_cells(&eval);
-                }
-                Err(failures) => {
-                    report_cell_failures("bandwidth", &failures, ckpt.as_ref());
-                    exit_code = 1;
-                }
-            }
-        }
-        "table1" => {
-            cells = bench
-                .measure("table1", roster_n, roster_n * c1, || table1(args.quick, args.jobs, &log));
-        }
-        "fig1" => {
-            bench.measure("fig1", 2 * roster_n, 2 * roster_n * c1, || {
-                fig1(args.quick, args.jobs, &log)
-            });
-        }
-        "fig2" => {
-            bench.measure("fig2", 2 * roster_n, 2 * roster_n * c1, || {
-                fig2(args.quick, args.jobs, &log)
-            });
-        }
-        "fig3" => {
-            let ways = SystemConfig::scaled(1).llc.ways as u64;
-            bench.measure("fig3", ways * roster_n, ways * roster_n * c1, || {
-                fig3(args.quick, args.jobs, &log)
-            });
-        }
-        "fig5" => {
-            let cycles = if args.quick { 340_000u64 } else { 700_000 } * 8;
-            bench.measure("fig5", 1, cycles, || fig5(args.quick));
-        }
-        t if eval_targets.contains(&t) => {
-            let mut cfg = eval_cfg(&args);
-            if let Some(set) = &trace_set {
-                cfg.trace_mixes = Some(set.build_mixes(8));
-            }
-            let mechs = needed_mechanisms(t);
-            let (n_cells, cycles) = eval_volume(&cfg, &mechs);
-            let eval = bench.measure(t, n_cells, cycles, || {
-                figures::evaluate_resumable(&mechs, &cfg, true, ckpt.as_ref())
-            });
-            match eval {
-                Ok(eval) => {
-                    print_eval_target(t, &eval, &args.csv);
-                    cells = journal::eval_cells(&eval);
-                }
-                Err(failures) => {
-                    report_cell_failures(t, &failures, ckpt.as_ref());
-                    exit_code = 1;
-                }
-            }
-        }
-        "all" => {
-            cells = bench
-                .measure("table1", roster_n, roster_n * c1, || table1(args.quick, args.jobs, &log));
-            bench.measure("fig1", 2 * roster_n, 2 * roster_n * c1, || {
-                fig1(args.quick, args.jobs, &log)
-            });
-            bench.measure("fig2", 2 * roster_n, 2 * roster_n * c1, || {
-                fig2(args.quick, args.jobs, &log)
-            });
-            let ways = SystemConfig::scaled(1).llc.ways as u64;
-            bench.measure("fig3", ways * roster_n, ways * roster_n * c1, || {
-                fig3(args.quick, args.jobs, &log)
-            });
-            let f5_cycles = if args.quick { 340_000u64 } else { 700_000 } * 8;
-            bench.measure("fig5", 1, f5_cycles, || fig5(args.quick));
-            let mut cfg = eval_cfg(&args);
-            if let Some(set) = &trace_set {
-                cfg.trace_mixes = Some(set.build_mixes(8));
-            }
-            let mechs = Mechanism::all_managed().to_vec();
-            let (n_cells, cycles) = eval_volume(&cfg, &mechs);
-            let eval = bench.measure("evaluate", n_cells, cycles, || {
-                figures::evaluate_resumable(&mechs, &cfg, true, ckpt.as_ref())
-            });
-            match eval {
-                Ok(eval) => {
-                    for t in eval_targets {
-                        print_eval_target(t, &eval, &args.csv);
-                    }
-                    cells.extend(journal::eval_cells(&eval));
-                }
-                Err(failures) => {
-                    report_cell_failures("all", &failures, ckpt.as_ref());
-                    exit_code = 1;
-                }
-            }
-        }
-        other => {
-            eprintln!("unknown target {other}; try --help");
-            std::process::exit(2);
-        }
+    target.run(&mut run);
+    if let Some(n) = ckpt.as_ref().map(Checkpoint::spliced).filter(|&n| n > 0) {
+        log.note(&format!("resume: spliced {n} cached cell(s) from the checkpoint"));
     }
-    match bench.write(&args.bench_json) {
+    match run.bench.write(&args.bench_json) {
         Ok(()) => eprintln!("[repro] wrote {}", args.bench_json.display()),
         Err(e) => eprintln!("[repro] bench log failed: {e}"),
     }
     // The run journal: manifest + every recorded controller epoch. Targets
     // without a control loop (fig1–fig5, ablate, extension) still get the
     // manifest line, so downstream tooling can always read the file.
-    match journal::write(&args.journal, &journal::manifest(&meta), &cells) {
+    match journal::write(&args.journal, &journal::manifest(&meta), &run.cells) {
         Ok(n) => eprintln!("[repro] wrote {} ({n} epochs)", args.journal.display()),
         Err(e) => eprintln!("[repro] journal failed: {e}"),
     }
-    if exit_code != 0 {
-        std::process::exit(exit_code);
+    if run.exit_code != 0 {
+        std::process::exit(run.exit_code);
     }
 }

@@ -27,8 +27,10 @@
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cmm_core::experiment::MixResult;
+use cmm_core::json::{escape, push_array, Lossless};
 use cmm_core::policy::Mechanism;
 use cmm_core::telemetry::{CoreSample, EpochRecord, FaultRecord, GovernorEvent, Trial};
 use cmm_sim::pmu::Pmu;
@@ -70,6 +72,18 @@ pub struct Checkpoint {
     cached: HashMap<String, Json>,
     failures: Vec<PriorFailure>,
     appender: JsonlAppender,
+    spliced: AtomicUsize,
+}
+
+/// A cell result that can live in a `cmm-ckpt/1` sidecar: the payload
+/// codec [`crate::runner::run_cells`] splices and records cells with.
+/// Encoding must be lossless (floats in [`Lossless`] form), so a spliced
+/// cell is indistinguishable from a recomputed one.
+pub trait CellCodec: Sized {
+    /// Renders the cell as its JSON payload.
+    fn encode(&self) -> String;
+    /// Parses a payload written by [`CellCodec::encode`].
+    fn decode(j: &Json) -> Result<Self, String>;
 }
 
 impl Checkpoint {
@@ -175,17 +189,29 @@ impl Checkpoint {
             JsonlAppender::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
         // A failure superseded by a completed cell is history, not news.
         failures.retain(|f| !cached.contains_key(&f.key));
-        Ok((Checkpoint { cached, failures, appender }, info))
+        Ok((Checkpoint { cached, failures, appender, spliced: AtomicUsize::new(0) }, info))
     }
 
-    /// The cached payload for `key`, if a previous attempt completed it.
-    pub fn cached(&self, key: &str) -> Option<Json> {
-        self.cached.get(key).cloned()
+    /// The cached result for `key`, decoded, if a previous attempt
+    /// completed it. An undecodable payload counts as a miss, with a
+    /// warning: the cell re-runs and its fresh result is recorded again
+    /// (the latest record of a key wins on the next open).
+    pub fn splice<R: CellCodec>(&self, key: &str) -> Option<R> {
+        match R::decode(self.cached.get(key)?) {
+            Ok(r) => {
+                self.spliced.fetch_add(1, Ordering::Relaxed);
+                Some(r)
+            }
+            Err(e) => {
+                eprintln!("[repro] checkpoint entry '{key}' is undecodable ({e}); re-running cell");
+                None
+            }
+        }
     }
 
-    /// Number of cached cells.
-    pub fn cached_len(&self) -> usize {
-        self.cached.len()
+    /// Cells [`Checkpoint::splice`] has answered so far.
+    pub fn spliced(&self) -> usize {
+        self.spliced.load(Ordering::Relaxed)
     }
 
     /// Durably appends one completed cell. Checkpoint loss is not fatal to
@@ -225,46 +251,15 @@ impl Checkpoint {
 // round-trip `Display`, so decode(encode(x)) == x bit-for-bit and spliced
 // results format identically to freshly computed ones.
 
-/// Lossless JSON float (shortest round-trip); non-finite degrades to 0.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+/// The run-alone IPC cell of the evaluation.
+impl CellCodec for f64 {
+    fn encode(&self) -> String {
+        format!("{{\"ipc\":{}}}", Lossless(*self))
     }
-}
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn f64_list(vals: &[f64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&num(*v));
+    fn decode(j: &Json) -> Result<f64, String> {
+        j.field("ipc", Json::as_f64)
     }
-    s.push(']');
-    s
-}
-
-/// Encodes a run-alone IPC cell payload.
-pub fn encode_alone(ipc: f64) -> String {
-    format!("{{\"ipc\":{}}}", num(ipc))
-}
-
-/// Decodes a run-alone IPC cell payload.
-pub fn decode_alone(j: &Json) -> Result<f64, String> {
-    j.get("ipc").and_then(Json::as_f64).ok_or_else(|| "alone payload missing 'ipc'".into())
 }
 
 /// Pmu counters in struct declaration order (see [`Pmu`]).
@@ -317,64 +312,48 @@ fn pmu_from_list(vals: &[u64]) -> Result<Pmu, String> {
     })
 }
 
-/// Encodes a full [`MixResult`] cell payload.
-pub fn encode_mix_result(r: &MixResult) -> String {
-    let mut s = String::with_capacity(1024);
-    s.push_str(&format!("{{\"mechanism\":\"{}\"", escape(r.mechanism.label())));
-    s.push_str(&format!(",\"mix_name\":\"{}\"", escape(&r.mix_name)));
-    s.push_str(",\"benchmarks\":[");
-    for (i, b) in r.benchmarks.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\"{}\"", escape(b)));
-    }
-    s.push(']');
-    s.push_str(&format!(",\"ipcs\":{}", f64_list(&r.ipcs)));
-    s.push_str(",\"pmu\":[");
-    for (i, p) in r.pmu.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('[');
-        for (k, v) in pmu_to_list(p).iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&v.to_string());
-        }
-        s.push(']');
-    }
-    s.push(']');
-    s.push_str(&format!(",\"mem_bytes\":{}", r.mem_bytes));
-    s.push_str(&format!(",\"stalls_l2\":{}", r.stalls_l2));
-    s.push_str(&format!(",\"overhead_ratio\":{}", num(r.overhead_ratio)));
-    s.push_str(",\"epochs\":[");
-    for (i, e) in r.epochs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        // Reuse the journal rendering; the embedded "run" label is unused.
-        s.push_str(&e.to_json_line(""));
-    }
-    s.push_str("]}");
-    s
+/// Appends `epochs` to `s` as a JSON array of their journal renderings
+/// (the embedded "run" label is unused) — every payload's `epochs` key.
+pub fn push_epochs(s: &mut String, epochs: &[EpochRecord]) {
+    push_array(s, epochs.iter().map(|e| e.to_json_line("")));
 }
 
-fn u64s(v: Option<&Json>, what: &str) -> Result<Vec<u64>, String> {
-    v.and_then(Json::as_array)
-        .map(|a| a.iter().filter_map(Json::as_u64).collect::<Vec<u64>>())
-        .ok_or_else(|| format!("missing array '{what}'"))
+/// Decodes the `epochs` key written by [`push_epochs`].
+pub fn decode_epochs(j: &Json) -> Result<Vec<EpochRecord>, String> {
+    records(j, "epochs", decode_epoch)
 }
 
-fn usizes(v: Option<&Json>, what: &str) -> Result<Vec<usize>, String> {
-    Ok(u64s(v, what)?.into_iter().map(|x| x as usize).collect())
+/// The array at `key`, each element decoded by `decode`.
+fn records<T>(
+    j: &Json,
+    key: &str,
+    decode: fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    j.field(key, Json::as_array)?.iter().map(decode).collect()
 }
 
-fn f64s(v: Option<&Json>, what: &str) -> Result<Vec<f64>, String> {
-    v.and_then(Json::as_array)
-        .map(|a| a.iter().filter_map(Json::as_f64).collect())
-        .ok_or_else(|| format!("missing array '{what}'"))
+/// The array at `key`, keeping the elements `item` converts.
+fn nums<T>(j: &Json, key: &str, item: fn(&Json) -> Option<T>) -> Result<Vec<T>, String> {
+    Ok(j.field(key, Json::as_array)?.iter().filter_map(item).collect())
+}
+
+/// [`nums`] for a key that joined in a later schema: `absent` when the
+/// key is missing.
+fn later_nums<T>(
+    j: &Json,
+    key: &str,
+    item: fn(&Json) -> Option<T>,
+    absent: Vec<T>,
+) -> Result<Vec<T>, String> {
+    if j.get(key).is_some() {
+        nums(j, key, item)
+    } else {
+        Ok(absent)
+    }
+}
+
+fn as_usize(j: &Json) -> Option<usize> {
+    j.as_u64().map(|v| v as usize)
 }
 
 /// Interns a string against a closed vocabulary of `&'static str` the
@@ -434,95 +413,66 @@ fn intern(s: &str) -> &'static str {
 
 fn decode_fault(j: &Json) -> Result<FaultRecord, String> {
     Ok(FaultRecord {
-        cycle: j.get("cycle").and_then(Json::as_u64).ok_or("fault missing 'cycle'")?,
-        kind: intern(j.get("kind").and_then(Json::as_str).ok_or("fault missing 'kind'")?),
-        core: j.get("core").and_then(Json::as_u64).map(|c| c as usize),
+        cycle: j.field("cycle", Json::as_u64)?,
+        kind: intern(j.field("kind", Json::as_str)?),
+        core: j.get("core").and_then(as_usize),
         msr: j.get("msr").and_then(Json::as_u64).map(|m| m as u32),
-        action: intern(j.get("action").and_then(Json::as_str).ok_or("fault missing 'action'")?),
+        action: intern(j.field("action", Json::as_str)?),
     })
 }
 
 fn decode_governor_event(j: &Json) -> Result<GovernorEvent, String> {
     Ok(GovernorEvent {
-        cycle: j.get("cycle").and_then(Json::as_u64).ok_or("governor event missing 'cycle'")?,
-        action: intern(
-            j.get("action").and_then(Json::as_str).ok_or("governor event missing 'action'")?,
-        ),
-        core: j.get("core").and_then(Json::as_u64).map(|c| c as usize),
+        cycle: j.field("cycle", Json::as_u64)?,
+        action: intern(j.field("action", Json::as_str)?),
+        core: j.get("core").and_then(as_usize),
         class: j.get("class").and_then(Json::as_str).map(intern),
     })
 }
 
 fn decode_core_sample(j: &Json) -> Result<CoreSample, String> {
-    let f = |k: &str| j.get(k).and_then(Json::as_f64).ok_or_else(|| format!("core missing '{k}'"));
     Ok(CoreSample {
-        ipc: f("ipc")?,
+        ipc: j.field("ipc", Json::as_f64)?,
         metrics: cmm_core::frontend::Metrics {
-            l2_llc_traffic: j
-                .get("m1_l2_llc")
-                .and_then(Json::as_u64)
-                .ok_or("core missing 'm1_l2_llc'")?,
-            l2_pf_miss_frac: f("m2_pf_frac")?,
-            l2_ptr: f("m3_ptr")?,
-            pga: f("m4_pga")?,
-            l2_pmr: f("m5_pmr")?,
-            l2_ppm: f("m6_ppm")?,
-            llc_pt: f("m7_llc_pt")?,
+            l2_llc_traffic: j.field("m1_l2_llc", Json::as_u64)?,
+            l2_pf_miss_frac: j.field("m2_pf_frac", Json::as_f64)?,
+            l2_ptr: j.field("m3_ptr", Json::as_f64)?,
+            pga: j.field("m4_pga", Json::as_f64)?,
+            l2_pmr: j.field("m5_pmr", Json::as_f64)?,
+            l2_ppm: j.field("m6_ppm", Json::as_f64)?,
+            llc_pt: j.field("m7_llc_pt", Json::as_f64)?,
         },
     })
+}
+
+fn decode_trial(j: &Json) -> Result<Trial, String> {
+    Ok(Trial {
+        msr_1a4: nums(j, "msr_1a4", Json::as_u64)?,
+        // The mba key joined in /4; absent on older journals.
+        mba: later_nums(j, "mba", Json::as_u64, Vec::new())?,
+        hm_ipc: j.field("hm_ipc", Json::as_f64)?,
+    })
+}
+
+/// The elements of the optional array at `key` (absent: none), each
+/// decoded by `decode`.
+fn optional_records<T>(
+    j: &Json,
+    key: &str,
+    decode: fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    j.get(key).and_then(Json::as_array).unwrap_or(&[]).iter().map(decode).collect()
 }
 
 /// Decodes one epoch record from its journal/checkpoint JSON rendering —
 /// the exact inverse of [`EpochRecord::to_json_line`].
 pub fn decode_epoch(j: &Json) -> Result<EpochRecord, String> {
-    let cores = j
-        .get("cores")
-        .and_then(Json::as_array)
-        .ok_or("epoch missing 'cores'")?
-        .iter()
-        .map(decode_core_sample)
-        .collect::<Result<Vec<_>, _>>()?;
-    let trials = j
-        .get("trials")
-        .and_then(Json::as_array)
-        .ok_or("epoch missing 'trials'")?
-        .iter()
-        .map(|t| {
-            Ok::<Trial, String>(Trial {
-                msr_1a4: u64s(t.get("msr_1a4"), "trial msr_1a4")?,
-                // The mba key joined in /4; absent on older journals.
-                mba: match t.get("mba") {
-                    Some(_) => u64s(t.get("mba"), "trial mba")?,
-                    None => Vec::new(),
-                },
-                hm_ipc: t.get("hm_ipc").and_then(Json::as_f64).ok_or("trial missing 'hm_ipc'")?,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let faults = j
-        .get("faults")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .map(decode_fault)
-        .collect::<Result<Vec<_>, _>>()?;
-    // The governor key joined in /5 and is elided when no events fired.
-    let governor = j
-        .get("governor")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .map(decode_governor_event)
-        .collect::<Result<Vec<_>, _>>()?;
-    let applied = j.get("applied").ok_or("epoch missing 'applied'")?;
-    let clos = usizes(applied.get("clos"), "applied clos")?;
-    let way_mask = u64s(applied.get("way_mask"), "applied way_mask")?;
-    let msr_1a4 = u64s(applied.get("msr_1a4"), "applied msr_1a4")?;
+    let applied = j.field("applied", Some)?;
+    let clos = nums(applied, "clos", as_usize)?;
+    let way_mask = nums(applied, "way_mask", Json::as_u64)?;
+    let msr_1a4 = nums(applied, "msr_1a4", Json::as_u64)?;
     // The mba key joined in /4 and is elided when every level is 0.
-    let mba = match applied.get("mba") {
-        Some(_) => u64s(applied.get("mba"), "applied mba")?,
-        None => vec![0; clos.len()],
-    };
+    let mba = later_nums(applied, "mba", Json::as_u64, vec![0; clos.len()])?;
     if clos.len() != way_mask.len() || clos.len() != msr_1a4.len() || clos.len() != mba.len() {
         return Err("applied arrays disagree on core count".into());
     }
@@ -539,84 +489,81 @@ pub fn decode_epoch(j: &Json) -> Result<EpochRecord, String> {
         })
         .collect();
     Ok(EpochRecord {
-        epoch: j.get("epoch").and_then(Json::as_u64).ok_or("epoch missing 'epoch'")?,
-        cycle: j.get("cycle").and_then(Json::as_u64).ok_or("epoch missing 'cycle'")?,
-        mechanism: intern(
-            j.get("mechanism").and_then(Json::as_str).ok_or("epoch missing 'mechanism'")?,
-        ),
-        domain: j.get("domain").and_then(Json::as_u64).map(|d| d as usize),
-        cores,
-        agg: usizes(j.get("agg"), "agg")?,
-        friendly: usizes(j.get("friendly"), "friendly")?,
-        unfriendly: usizes(j.get("unfriendly"), "unfriendly")?,
-        trials,
-        winner: j.get("winner").and_then(Json::as_u64).map(|w| w as usize),
+        epoch: j.field("epoch", Json::as_u64)?,
+        cycle: j.field("cycle", Json::as_u64)?,
+        mechanism: intern(j.field("mechanism", Json::as_str)?),
+        domain: j.get("domain").and_then(as_usize),
+        cores: records(j, "cores", decode_core_sample)?,
+        agg: nums(j, "agg", as_usize)?,
+        friendly: nums(j, "friendly", as_usize)?,
+        unfriendly: nums(j, "unfriendly", as_usize)?,
+        trials: records(j, "trials", decode_trial)?,
+        winner: j.get("winner").and_then(as_usize),
         exec_hm_ipc: j.get("exec_hm_ipc").and_then(Json::as_f64),
         exec_ipc_delta: j.get("exec_ipc_delta").and_then(Json::as_f64),
-        faults,
+        faults: optional_records(j, "faults", decode_fault)?,
         degraded: j.get("degraded").and_then(Json::as_str).map(intern),
-        governor,
+        // The governor key joined in /5 and is elided when no events fired.
+        governor: optional_records(j, "governor", decode_governor_event)?,
         // The features/action keys joined in /6 and are elided when a
         // mechanism records neither.
-        features: match j.get("features") {
-            Some(_) => f64s(j.get("features"), "features")?,
-            None => Vec::new(),
-        },
+        features: later_nums(j, "features", Json::as_f64, Vec::new())?,
         action: j.get("action").and_then(Json::as_str).map(str::to_string),
         applied,
     })
 }
 
-/// Decodes a full [`MixResult`] cell payload.
-pub fn decode_mix_result(j: &Json) -> Result<MixResult, String> {
-    let label = j.get("mechanism").and_then(Json::as_str).ok_or("payload missing 'mechanism'")?;
-    let mechanism =
-        Mechanism::from_label(label).ok_or_else(|| format!("unknown mechanism '{label}'"))?;
-    let pmu = j
-        .get("pmu")
-        .and_then(Json::as_array)
-        .ok_or("payload missing 'pmu'")?
-        .iter()
-        .map(|p| pmu_from_list(&u64s(Some(p), "pmu counters")?))
-        .collect::<Result<Vec<_>, _>>()?;
-    let epochs = j
-        .get("epochs")
-        .and_then(Json::as_array)
-        .ok_or("payload missing 'epochs'")?
-        .iter()
-        .map(decode_epoch)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MixResult {
-        mechanism,
-        mix_name: j
-            .get("mix_name")
-            .and_then(Json::as_str)
-            .ok_or("payload missing 'mix_name'")?
-            .to_string(),
-        benchmarks: j
-            .get("benchmarks")
-            .and_then(Json::as_array)
-            .ok_or("payload missing 'benchmarks'")?
-            .iter()
-            .filter_map(Json::as_str)
-            .map(str::to_string)
-            .collect(),
-        ipcs: f64s(j.get("ipcs"), "ipcs")?,
-        pmu,
-        mem_bytes: j
-            .get("mem_bytes")
-            .and_then(Json::as_u64)
-            .ok_or("payload missing 'mem_bytes'")?,
-        stalls_l2: j
-            .get("stalls_l2")
-            .and_then(Json::as_u64)
-            .ok_or("payload missing 'stalls_l2'")?,
-        overhead_ratio: j
-            .get("overhead_ratio")
-            .and_then(Json::as_f64)
-            .ok_or("payload missing 'overhead_ratio'")?,
-        epochs,
-    })
+/// A full mix-run cell of the evaluation and `learn` grids.
+impl CellCodec for MixResult {
+    fn encode(&self) -> String {
+        let mut s = String::with_capacity(1024);
+        s.push_str(&format!("{{\"mechanism\":\"{}\"", escape(self.mechanism.label())));
+        s.push_str(&format!(",\"mix_name\":\"{}\"", escape(&self.mix_name)));
+        s.push_str(",\"benchmarks\":");
+        push_array(&mut s, self.benchmarks.iter().map(|b| format!("\"{}\"", escape(b))));
+        s.push_str(",\"ipcs\":");
+        push_array(&mut s, self.ipcs.iter().map(|&v| Lossless(v)));
+        s.push_str(",\"pmu\":");
+        push_array(
+            &mut s,
+            self.pmu.iter().map(|p| {
+                let mut list = String::new();
+                push_array(&mut list, pmu_to_list(p));
+                list
+            }),
+        );
+        s.push_str(&format!(",\"mem_bytes\":{}", self.mem_bytes));
+        s.push_str(&format!(",\"stalls_l2\":{}", self.stalls_l2));
+        s.push_str(&format!(",\"overhead_ratio\":{}", Lossless(self.overhead_ratio)));
+        s.push_str(",\"epochs\":");
+        push_epochs(&mut s, &self.epochs);
+        s.push('}');
+        s
+    }
+
+    fn decode(j: &Json) -> Result<MixResult, String> {
+        let label = j.field("mechanism", Json::as_str)?;
+        Ok(MixResult {
+            mechanism: Mechanism::from_label(label)
+                .ok_or_else(|| format!("unknown mechanism '{label}'"))?,
+            mix_name: j.field("mix_name", Json::as_str)?.to_string(),
+            benchmarks: nums(j, "benchmarks", |b| b.as_str().map(str::to_string))?,
+            ipcs: nums(j, "ipcs", Json::as_f64)?,
+            pmu: records(j, "pmu", |p| {
+                pmu_from_list(
+                    &p.as_array()
+                        .unwrap_or(&[])
+                        .iter()
+                        .filter_map(Json::as_u64)
+                        .collect::<Vec<_>>(),
+                )
+            })?,
+            mem_bytes: j.field("mem_bytes", Json::as_u64)?,
+            stalls_l2: j.field("stalls_l2", Json::as_u64)?,
+            overhead_ratio: j.field("overhead_ratio", Json::as_f64)?,
+            epochs: decode_epochs(j)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -699,8 +646,8 @@ mod tests {
     #[test]
     fn mix_result_round_trips_losslessly() {
         let r = sample_result();
-        let j = parse(&encode_mix_result(&r)).expect("valid payload JSON");
-        let back = decode_mix_result(&j).expect("decodes");
+        let j = parse(&r.encode()).expect("valid payload JSON");
+        let back = MixResult::decode(&j).expect("decodes");
         assert_eq!(back.mechanism, r.mechanism);
         assert_eq!(back.mix_name, r.mix_name);
         assert_eq!(back.benchmarks, r.benchmarks);
@@ -713,8 +660,8 @@ mod tests {
         // byte-identity surface — must match exactly.
         assert_eq!(back.epochs.len(), 1);
         assert_eq!(back.epochs[0].to_json_line("x"), {
-            let j2 = parse(&encode_mix_result(&r)).unwrap();
-            decode_mix_result(&j2).unwrap().epochs[0].to_json_line("x")
+            let j2 = parse(&r.encode()).unwrap();
+            MixResult::decode(&j2).unwrap().epochs[0].to_json_line("x")
         });
         assert_eq!(back.epochs[0].faults, r.epochs[0].faults);
         assert_eq!(back.epochs[0].degraded, r.epochs[0].degraded);
@@ -750,8 +697,8 @@ mod tests {
 
     #[test]
     fn alone_round_trips() {
-        let j = parse(&encode_alone(1.234567890123456)).unwrap();
-        assert_eq!(decode_alone(&j).unwrap(), 1.234567890123456);
+        let j = parse(&1.234567890123456f64.encode()).unwrap();
+        assert_eq!(f64::decode(&j).unwrap(), 1.234567890123456);
     }
 
     #[test]
@@ -764,18 +711,17 @@ mod tests {
         let (ck, info) = Checkpoint::open(&path, "fig7", "fnv1a:abc").unwrap();
         assert!(info.fresh);
         assert_eq!(info.cached, 0);
-        ck.record("alone: lbm", &encode_alone(1.5));
-        ck.record("PrefAgg-00: CMM-a", &encode_mix_result(&sample_result()));
+        ck.record("alone: lbm", &1.5f64.encode());
+        ck.record("PrefAgg-00: CMM-a", &sample_result().encode());
         drop(ck);
 
         let (ck, info) = Checkpoint::open(&path, "fig7", "fnv1a:abc").unwrap();
         assert!(!info.fresh);
         assert_eq!(info.cached, 2);
         assert_eq!(info.dropped, 0);
-        let alone = ck.cached("alone: lbm").unwrap();
-        assert_eq!(decode_alone(&alone).unwrap(), 1.5);
-        let mix = ck.cached("PrefAgg-00: CMM-a").unwrap();
-        assert_eq!(decode_mix_result(&mix).unwrap().ipcs, sample_result().ipcs);
+        assert_eq!(ck.splice::<f64>("alone: lbm"), Some(1.5));
+        let mix: MixResult = ck.splice("PrefAgg-00: CMM-a").unwrap();
+        assert_eq!(mix.ipcs, sample_result().ipcs);
         std::fs::remove_file(&path).ok();
     }
 
@@ -787,8 +733,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let (ck, _) = Checkpoint::open(&path, "fig7", "fnv1a:abc").unwrap();
-        ck.record("a", &encode_alone(1.0));
-        ck.record("b", &encode_alone(2.0));
+        ck.record("a", &1.0f64.encode());
+        ck.record("b", &2.0f64.encode());
         drop(ck);
         // Tear the final record mid-line, as a crash mid-append would.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -797,14 +743,14 @@ mod tests {
         let (ck, info) = Checkpoint::open(&path, "fig7", "fnv1a:abc").unwrap();
         assert_eq!(info.dropped, 1);
         assert_eq!(info.cached, 1, "only the intact record survives");
-        assert!(ck.cached("a").is_some());
-        assert!(ck.cached("b").is_none());
+        assert_eq!(ck.splice::<f64>("a"), Some(1.0));
+        assert_eq!(ck.splice::<f64>("b"), None);
         // The compacted file is clean again: append and re-open.
-        ck.record("b", &encode_alone(2.0));
+        ck.record("b", &2.0f64.encode());
         drop(ck);
         let (ck, info) = Checkpoint::open(&path, "fig7", "fnv1a:abc").unwrap();
         assert_eq!((info.cached, info.dropped), (2, 0));
-        assert!(ck.cached("b").is_some());
+        assert_eq!(ck.splice::<f64>("b"), Some(2.0));
         std::fs::remove_file(&path).ok();
     }
 
@@ -857,7 +803,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let (ck, _) = Checkpoint::open(&path, "fig7", "fnv1a:abc").unwrap();
-        ck.record("ok-cell", &encode_alone(1.0));
+        ck.record("ok-cell", &1.0f64.encode());
         ck.record_failure("bad-cell", 3, "chaos: injected panic in 'bad-cell' (attempt 3)");
         drop(ck);
 
@@ -871,7 +817,7 @@ mod tests {
         assert_eq!(prior[0].attempts, 3);
         assert!(prior[0].panic_msg.contains("injected panic"), "{}", prior[0].panic_msg);
         // The cell completes this time: the failure is history.
-        ck.record("bad-cell", &encode_alone(2.0));
+        ck.record("bad-cell", &2.0f64.encode());
         drop(ck);
         let (ck, info) = Checkpoint::open(&path, "fig7", "fnv1a:abc").unwrap();
         assert_eq!(info.cached, 2);

@@ -7,21 +7,23 @@
 //! that panics, wedges on a rejected WRMSR, or trusts a garbage PMU
 //! snapshot shows up here as a collapse relative to the fault-free run.
 //!
-//! A second leg ([`sweep_mba_resumable`]) runs the same mix under CBP
-//! while only the MBA throttle register misbehaves (transient rejections
-//! plus stuck writes): CBP must shed its third resource and keep the
-//! CMM-a plan — the CBP → CMM-a rung of the degradation chain — rather
-//! than cliffing or wedging on the dead register.
+//! A second leg ([`MBA`]) runs the same mix under CBP while only the MBA
+//! throttle register misbehaves (transient rejections plus stuck
+//! writes): CBP must shed its third resource and keep the CMM-a plan —
+//! the CBP → CMM-a rung of the degradation chain — rather than cliffing
+//! or wedging on the dead register.
 //!
 //! The sweep is deterministic — fault schedules come from a seeded
 //! splitmix64 stream — so the journal cells it emits are byte-identical
 //! across `--jobs`, and CI runs it twice to prove exactly that.
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::{self, CellCodec, Checkpoint};
 use crate::json::Json;
+use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
 use cmm_core::experiment::{run_mix_with_faults, ExperimentConfig};
 use cmm_core::fault::FaultConfig;
+use cmm_core::json::Lossless;
 use cmm_core::policy::Mechanism;
 use cmm_core::telemetry::EpochRecord;
 use cmm_workloads::build_mixes;
@@ -50,60 +52,84 @@ pub struct FaultCell {
     pub epochs: Vec<EpochRecord>,
 }
 
-/// Lossless JSON float (shortest round-trip); non-finite degrades to 0.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+impl CellCodec for FaultCell {
+    fn encode(&self) -> String {
+        let mut s = format!(
+            "{{\"rate\":{},\"hm_ipc\":{},\"faults\":{},\"degraded_epochs\":{},\"epochs\":",
+            Lossless(self.rate),
+            Lossless(self.hm_ipc),
+            self.faults,
+            self.degraded_epochs
+        );
+        checkpoint::push_epochs(&mut s, &self.epochs);
+        s.push('}');
+        s
+    }
+
+    fn decode(j: &Json) -> Result<FaultCell, String> {
+        Ok(FaultCell {
+            rate: j.field("rate", Json::as_f64)?,
+            hm_ipc: j.field("hm_ipc", Json::as_f64)?,
+            faults: j.field("faults", Json::as_u64)?,
+            degraded_epochs: j.field("degraded_epochs", Json::as_u64)?,
+            epochs: checkpoint::decode_epochs(j)?,
+        })
     }
 }
 
-/// Encodes a [`FaultCell`] as a `cmm-ckpt/1` payload (lossless floats).
-pub fn encode_cell(c: &FaultCell) -> String {
-    let mut s = format!(
-        "{{\"rate\":{},\"hm_ipc\":{},\"faults\":{},\"degraded_epochs\":{},\"epochs\":[",
-        num(c.rate),
-        num(c.hm_ipc),
-        c.faults,
-        c.degraded_epochs
-    );
-    for (i, e) in c.epochs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&e.to_json_line(""));
+/// One leg of the sweep: the mechanism under test and the fault schedule
+/// it runs against. Its label prefix keys the cells and journal runs, so
+/// the two legs never collide in a shared checkpoint.
+#[derive(Debug)]
+pub struct Leg {
+    /// The leg's perf-log target name.
+    pub name: &'static str,
+    prefix: &'static str,
+    mechanism: Mechanism,
+    faults: fn(u64, f64) -> FaultConfig,
+    title: &'static str,
+    /// What a failed smoothness gate means on this leg.
+    pub cliff: &'static str,
+}
+
+/// CMM-a under uniform MSR, CLOS and PMU faults.
+pub const UNIFORM: Leg = Leg {
+    name: "faults",
+    prefix: "faults",
+    mechanism: Mechanism::CmmA,
+    faults: FaultConfig::uniform,
+    title: "Fault-injection sweep — CMM-a, hm_ipc vs injected fault rate",
+    cliff: "faults: hm_ipc cliffed below the smoothness floor",
+};
+
+/// CBP with faults confined to the MBA throttle register
+/// ([`FaultConfig::mba_only`]). At rate 1.0 the register is gone and every
+/// epoch degrades CBP → CMM-a; the smoothness gate then asserts that
+/// losing the third resource costs bounded throughput.
+pub const MBA: Leg = Leg {
+    name: "faults_mba",
+    prefix: "faults mba",
+    mechanism: Mechanism::Cbp,
+    faults: FaultConfig::mba_only,
+    title: "MBA-fault sweep — CBP, hm_ipc vs MBA-register fault rate",
+    cliff: "faults: MBA leg cliffed below the smoothness floor",
+};
+
+impl Leg {
+    /// A swept rate's cell label — also its journal run label and
+    /// checkpoint key (`"faults rate=0.05: CMM-a"`).
+    pub fn cell_label(&self, rate: f64) -> String {
+        format!("{} rate={rate:.2}: {}", self.prefix, self.mechanism.label())
     }
-    s.push_str("]}");
-    s
 }
 
-/// Decodes a [`FaultCell`] checkpoint payload.
-pub fn decode_cell(j: &Json) -> Result<FaultCell, String> {
-    Ok(FaultCell {
-        rate: j.get("rate").and_then(Json::as_f64).ok_or("fault cell missing 'rate'")?,
-        hm_ipc: j.get("hm_ipc").and_then(Json::as_f64).ok_or("fault cell missing 'hm_ipc'")?,
-        faults: j.get("faults").and_then(Json::as_u64).ok_or("fault cell missing 'faults'")?,
-        degraded_epochs: j
-            .get("degraded_epochs")
-            .and_then(Json::as_u64)
-            .ok_or("fault cell missing 'degraded_epochs'")?,
-        epochs: j
-            .get("epochs")
-            .and_then(Json::as_array)
-            .ok_or("fault cell missing 'epochs'")?
-            .iter()
-            .map(checkpoint::decode_epoch)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-/// Runs the sweep panic-isolated and (optionally) checkpointed.
+/// Runs one leg panic-isolated and (optionally) checkpointed.
 /// `fault_seed` seeds the fault schedule (workload construction stays on
-/// `seed`, so the same mix runs at every rate). Cell keys match the
-/// journal run labels (`"faults rate=0.05: CMM-a"`); a failing rate
+/// `seed`, so the same PrefAgg mix runs at every rate); a failing rate
 /// surfaces in the `Err` list only after every sibling rate completed.
+#[allow(clippy::too_many_arguments)]
 pub fn sweep_resumable(
+    leg: &Leg,
     quick: bool,
     seed: u64,
     fault_seed: u64,
@@ -114,36 +140,16 @@ pub fn sweep_resumable(
 ) -> Result<Vec<FaultCell>, Vec<CellFailure>> {
     let mix = build_mixes(seed, 1).remove(1); // a PrefAgg mix
     let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-    let run = run_cells(
+    run_cells(
         &RATES,
         jobs,
         attempts,
-        |_, &rate| format!("faults rate={rate:.2}: CMM-a"),
-        |k| {
-            let payload = ckpt?.cached(k)?;
-            match decode_cell(&payload) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!(
-                        "[repro] checkpoint entry '{k}' is undecodable ({e}); re-running cell"
-                    );
-                    None
-                }
-            }
-        },
-        |k, c: &FaultCell| {
-            if let Some(ck) = ckpt {
-                ck.record(k, &encode_cell(c));
-            }
-        },
+        ckpt,
+        |_, &rate| leg.cell_label(rate),
         |_, &rate| {
-            log.cell(&format!("faults: rate {rate:.2}"), || {
-                let r = run_mix_with_faults(
-                    &mix,
-                    Mechanism::CmmA,
-                    &cfg,
-                    &FaultConfig::uniform(fault_seed, rate),
-                );
+            log.cell(&format!("{}: rate {rate:.2}", leg.prefix), || {
+                let r =
+                    run_mix_with_faults(&mix, leg.mechanism, &cfg, &(leg.faults)(fault_seed, rate));
                 FaultCell {
                     rate,
                     hm_ipc: cmm_metrics::hm_ipc(&r.ipcs),
@@ -154,89 +160,18 @@ pub fn sweep_resumable(
                 }
             })
         },
-    );
-    if run.resumed > 0 {
-        log.note(&format!("resume: spliced {} cached cell(s) from the checkpoint", run.resumed));
-    }
-    run.into_results()
+    )
+    .into_results()
 }
 
-/// The MBA-fault leg: the same mix under CBP with faults confined to the
-/// MBA throttle register ([`FaultConfig::mba_only`]). Cell keys and
-/// journal labels use the `faults mba rate=…: CBP` prefix so the two legs
-/// never collide in a shared checkpoint. At rate 1.0 the register is gone
-/// and every epoch degrades CBP → CMM-a; the smoothness gate then asserts
-/// losing the third resource costs bounded throughput.
-pub fn sweep_mba_resumable(
-    quick: bool,
-    seed: u64,
-    fault_seed: u64,
-    jobs: usize,
-    attempts: u32,
-    log: &Progress,
-    ckpt: Option<&Checkpoint>,
-) -> Result<Vec<FaultCell>, Vec<CellFailure>> {
-    let mix = build_mixes(seed, 1).remove(1); // the same PrefAgg mix
-    let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-    let run = run_cells(
-        &RATES,
-        jobs,
-        attempts,
-        |_, &rate| format!("faults mba rate={rate:.2}: CBP"),
-        |k| {
-            let payload = ckpt?.cached(k)?;
-            match decode_cell(&payload) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!(
-                        "[repro] checkpoint entry '{k}' is undecodable ({e}); re-running cell"
-                    );
-                    None
-                }
-            }
-        },
-        |k, c: &FaultCell| {
-            if let Some(ck) = ckpt {
-                ck.record(k, &encode_cell(c));
-            }
-        },
-        |_, &rate| {
-            log.cell(&format!("faults mba: rate {rate:.2}"), || {
-                let r = run_mix_with_faults(
-                    &mix,
-                    Mechanism::Cbp,
-                    &cfg,
-                    &FaultConfig::mba_only(fault_seed, rate),
-                );
-                FaultCell {
-                    rate,
-                    hm_ipc: cmm_metrics::hm_ipc(&r.ipcs),
-                    faults: r.epochs.iter().map(|e| e.faults.len() as u64).sum(),
-                    degraded_epochs: r.epochs.iter().filter(|e| e.degraded.is_some()).count()
-                        as u64,
-                    epochs: r.epochs,
-                }
-            })
-        },
-    );
-    if run.resumed > 0 {
-        log.note(&format!("resume: spliced {} cached cell(s) from the checkpoint", run.resumed));
-    }
-    run.into_results()
-}
-
-/// [`sweep_resumable`] without checkpointing, panicking on cell failure —
-/// the convenience entry point for tests.
-pub fn sweep(
-    quick: bool,
-    seed: u64,
-    fault_seed: u64,
-    jobs: usize,
-    log: &Progress,
-) -> Vec<FaultCell> {
-    sweep_resumable(quick, seed, fault_seed, jobs, 1, log, None).unwrap_or_else(|failures| {
-        panic!("{} fault-sweep cell(s) failed", failures.len());
-    })
+/// The leg's table: per rate, hm_ipc, the ratio to the fault-free run,
+/// faults, degraded epochs and the smoothness verdict.
+pub fn table(leg: &Leg, cells: &[FaultCell]) -> String {
+    report::table(
+        &format!("{} (floor {SMOOTHNESS_FLOOR:.2}× fault-free)", leg.title),
+        &["rate", "hm_ipc", "rel", "faults", "degraded epochs", "verdict"],
+        &rows(cells),
+    )
 }
 
 /// Table rows (rate, hm_ipc, relative-to-fault-free, faults, degraded
@@ -266,14 +201,9 @@ pub fn passes(cells: &[FaultCell]) -> bool {
     base > 0.0 && cells.iter().all(|c| c.hm_ipc / base >= SMOOTHNESS_FLOOR)
 }
 
-/// Journal cells for the sweep, one per rate, in sweep order.
-pub fn journal_cells(cells: Vec<FaultCell>) -> Vec<(String, Vec<EpochRecord>)> {
-    cells.into_iter().map(|c| (format!("faults rate={:.2}: CMM-a", c.rate), c.epochs)).collect()
-}
-
-/// Journal cells for the MBA-fault leg, matching its cell keys.
-pub fn mba_journal_cells(cells: Vec<FaultCell>) -> Vec<(String, Vec<EpochRecord>)> {
-    cells.into_iter().map(|c| (format!("faults mba rate={:.2}: CBP", c.rate), c.epochs)).collect()
+/// Journal cells for one leg, one per rate, in sweep order.
+pub fn journal_cells(leg: &Leg, cells: Vec<FaultCell>) -> Vec<(String, Vec<EpochRecord>)> {
+    cells.into_iter().map(|c| (leg.cell_label(c.rate), c.epochs)).collect()
 }
 
 #[cfg(test)]
@@ -312,8 +242,8 @@ mod tests {
             degraded_epochs: 3,
             epochs: vec![],
         };
-        let j = crate::json::parse(&encode_cell(&c)).expect("valid payload");
-        let back = decode_cell(&j).unwrap();
+        let j = crate::json::parse(&c.encode()).expect("valid payload");
+        let back = FaultCell::decode(&j).unwrap();
         assert_eq!(back.rate, c.rate);
         assert_eq!(back.hm_ipc, c.hm_ipc, "hm_ipc must be bit-identical");
         assert_eq!((back.faults, back.degraded_epochs), (17, 3));
@@ -323,17 +253,18 @@ mod tests {
     #[test]
     fn journal_labels_are_stable() {
         let cells = vec![cell(0.0, 1.0), cell(0.05, 0.9)];
-        let labels: Vec<String> = journal_cells(cells).into_iter().map(|(l, _)| l).collect();
+        let labels: Vec<String> =
+            journal_cells(&UNIFORM, cells).into_iter().map(|(l, _)| l).collect();
         assert_eq!(labels, vec!["faults rate=0.00: CMM-a", "faults rate=0.05: CMM-a"]);
         let cells = vec![cell(0.0, 1.0), cell(0.25, 0.9)];
-        let labels: Vec<String> = mba_journal_cells(cells).into_iter().map(|(l, _)| l).collect();
+        let labels: Vec<String> = journal_cells(&MBA, cells).into_iter().map(|(l, _)| l).collect();
         assert_eq!(labels, vec!["faults mba rate=0.00: CBP", "faults mba rate=0.25: CBP"]);
     }
 
     #[test]
     fn mba_leg_degrades_cbp_instead_of_cliffing() {
         let log = Progress::new(false);
-        let cells = sweep_mba_resumable(true, 42, 7, 1, 1, &log, None).unwrap();
+        let cells = sweep_resumable(&MBA, true, 42, 7, 1, 1, &log, None).unwrap();
         assert_eq!(cells.len(), RATES.len());
         assert!(passes(&cells), "MBA faults must degrade smoothly, not cliff");
         // With the register fully gone, every CBP epoch must take the

@@ -14,7 +14,7 @@ use cmm_core::policy::Mechanism;
 use cmm_metrics as met;
 use cmm_workloads::{build_mixes, Category, Mix, Slot};
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::Checkpoint;
 use crate::runner::{run_cells, CellFailure, Progress, DEFAULT_ATTEMPTS};
 
 /// Evaluation-wide settings.
@@ -129,23 +129,6 @@ impl Evaluation {
     }
 }
 
-/// Answers a cell from the resume sidecar, treating an undecodable cached
-/// payload as a miss (with a warning) rather than poisoning the run.
-fn splice<R>(
-    ckpt: Option<&Checkpoint>,
-    key: &str,
-    decode: impl Fn(&crate::json::Json) -> Result<R, String>,
-) -> Option<R> {
-    let payload = ckpt?.cached(key)?;
-    match decode(&payload) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!("[repro] checkpoint entry '{key}' is undecodable ({e}); re-running cell");
-            None
-        }
-    }
-}
-
 /// Runs the evaluation: every mix under the baseline plus `mechanisms`.
 /// `progress` (if true) prints one timestamped line per completed cell to
 /// stderr.
@@ -192,21 +175,15 @@ pub fn evaluate_resumable(
             }
         }
     }
-    let alone_run = run_cells(
+    let alone_vals = run_cells(
         &distinct,
         cfg.jobs,
         cfg.attempts,
+        ckpt,
         |_, s| format!("alone: {}", s.name()),
-        |k| splice(ckpt, k, checkpoint::decode_alone),
-        |k, v: &f64| {
-            if let Some(ck) = ckpt {
-                ck.record(k, &checkpoint::encode_alone(*v));
-            }
-        },
         |_, s| log.cell(&format!("alone: {}", s.name()), || run_alone_ipc(s, &cfg.exp)),
-    );
-    let alone_resumed = alone_run.resumed;
-    let alone_vals = alone_run.into_results()?;
+    )
+    .into_results()?;
     let alone_cache: HashMap<&str, f64> =
         distinct.iter().zip(&alone_vals).map(|(s, &v)| (s.name(), v)).collect();
 
@@ -224,31 +201,20 @@ pub fn evaluate_resumable(
     // the baseline and every mechanism trial of a mix restore from one
     // shared snapshot instead of each re-simulating the warm-up.
     let pool = WarmupPool::new();
-    let matrix_run = run_cells(
+    let mut results = run_cells(
         &cells,
         cfg.jobs,
         cfg.attempts,
+        ckpt,
         |_, &(mi, m)| format!("{}: {}", mixes[mi].name, m.label()),
-        |k| splice(ckpt, k, checkpoint::decode_mix_result),
-        |k, r: &MixResult| {
-            if let Some(ck) = ckpt {
-                ck.record(k, &checkpoint::encode_mix_result(r));
-            }
-        },
         |_, &(mi, m)| {
             let mix = &mixes[mi];
             log.cell(&format!("{}: {}", mix.name, m.label()), || {
                 run_mix_pooled(&pool, mix, m, &cfg.exp)
             })
         },
-    );
-    if matrix_run.resumed + alone_resumed > 0 {
-        log.note(&format!(
-            "resume: spliced {} cached cell(s) from the checkpoint",
-            matrix_run.resumed + alone_resumed
-        ));
-    }
-    let mut results = matrix_run.into_results()?;
+    )
+    .into_results()?;
 
     // Reassemble in mix order: baseline first, then `mechanisms` order —
     // exactly what the serial loop produced.
@@ -346,7 +312,8 @@ pub fn fig8(eval: &Evaluation) -> FigureSeries {
     series(eval, "Fig. 8 — PT: lowest normalized IPC", &[Mechanism::Pt], |w, m| w.worst_case(m))
 }
 
-const CP_MECHS: [Mechanism; 3] = [Mechanism::Dunn, Mechanism::PrefCp, Mechanism::PrefCp2];
+/// The cache-partitioning mechanisms of Figs. 9–10.
+pub const CP_MECHS: [Mechanism; 3] = [Mechanism::Dunn, Mechanism::PrefCp, Mechanism::PrefCp2];
 
 /// Fig. 9: CP mechanisms' normalized HS and WS.
 pub fn fig9(eval: &Evaluation) -> (FigureSeries, FigureSeries) {
@@ -361,7 +328,8 @@ pub fn fig10(eval: &Evaluation) -> FigureSeries {
     series(eval, "Fig. 10 — CP: lowest normalized IPC", &CP_MECHS, |w, m| w.worst_case(m))
 }
 
-const CMM_MECHS: [Mechanism; 3] = [Mechanism::CmmA, Mechanism::CmmB, Mechanism::CmmC];
+/// The coordinated CMM variants of Figs. 11–12.
+pub const CMM_MECHS: [Mechanism; 3] = [Mechanism::CmmA, Mechanism::CmmB, Mechanism::CmmC];
 
 /// Fig. 11: CMM-a/b/c normalized HS and WS.
 pub fn fig11(eval: &Evaluation) -> (FigureSeries, FigureSeries) {

@@ -14,12 +14,14 @@
 //! draw come from seeded splitmix64 streams — so its journal cells are
 //! byte-identical across `--jobs`, and CI runs it twice to prove that.
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::{self, CellCodec, Checkpoint};
 use crate::json::Json;
+use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
 use cmm_core::experiment::{run_mix_governed, run_mix_with_faults, ExperimentConfig};
 use cmm_core::fault::FaultConfig;
 use cmm_core::governor::GovernorConfig;
+use cmm_core::json::Lossless;
 use cmm_core::policy::Mechanism;
 use cmm_core::telemetry::EpochRecord;
 use cmm_workloads::build_mixes;
@@ -73,68 +75,43 @@ pub fn cell_label(rate: f64, governed: bool) -> String {
     format!("governor rate={rate:.2}: {}", if governed { "CBP+gov" } else { "CBP" })
 }
 
-/// Lossless JSON float (shortest round-trip); non-finite degrades to 0.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 fn count_events(epochs: &[EpochRecord], action: &str) -> u64 {
     epochs.iter().flat_map(|e| &e.governor).filter(|ev| ev.action == action).count() as u64
 }
 
-/// Encodes a [`GovCell`] as a `cmm-ckpt/1` payload (lossless floats).
-pub fn encode_cell(c: &GovCell) -> String {
-    let mut s = format!(
-        "{{\"rate\":{},\"governed\":{},\"hm_ipc\":{},\"faults\":{},\"degraded_epochs\":{},\
-         \"rollbacks\":{},\"quarantines\":{},\"breaker_trips\":{},\"epochs\":[",
-        num(c.rate),
-        c.governed,
-        num(c.hm_ipc),
-        c.faults,
-        c.degraded_epochs,
-        c.rollbacks,
-        c.quarantines,
-        c.breaker_trips
-    );
-    for (i, e) in c.epochs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&e.to_json_line(""));
+impl CellCodec for GovCell {
+    fn encode(&self) -> String {
+        let mut s = format!(
+            "{{\"rate\":{},\"governed\":{},\"hm_ipc\":{},\"faults\":{},\
+             \"degraded_epochs\":{},\"rollbacks\":{},\"quarantines\":{},\
+             \"breaker_trips\":{},\"epochs\":",
+            Lossless(self.rate),
+            self.governed,
+            Lossless(self.hm_ipc),
+            self.faults,
+            self.degraded_epochs,
+            self.rollbacks,
+            self.quarantines,
+            self.breaker_trips
+        );
+        checkpoint::push_epochs(&mut s, &self.epochs);
+        s.push('}');
+        s
     }
-    s.push_str("]}");
-    s
-}
 
-/// Decodes a [`GovCell`] checkpoint payload.
-pub fn decode_cell(j: &Json) -> Result<GovCell, String> {
-    let u = |k: &str| {
-        j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("governor cell missing '{k}'"))
-    };
-    Ok(GovCell {
-        rate: j.get("rate").and_then(Json::as_f64).ok_or("governor cell missing 'rate'")?,
-        governed: j
-            .get("governed")
-            .and_then(Json::as_bool)
-            .ok_or("governor cell missing 'governed'")?,
-        hm_ipc: j.get("hm_ipc").and_then(Json::as_f64).ok_or("governor cell missing 'hm_ipc'")?,
-        faults: u("faults")?,
-        degraded_epochs: u("degraded_epochs")?,
-        rollbacks: u("rollbacks")?,
-        quarantines: u("quarantines")?,
-        breaker_trips: u("breaker_trips")?,
-        epochs: j
-            .get("epochs")
-            .and_then(Json::as_array)
-            .ok_or("governor cell missing 'epochs'")?
-            .iter()
-            .map(checkpoint::decode_epoch)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
+    fn decode(j: &Json) -> Result<GovCell, String> {
+        Ok(GovCell {
+            rate: j.field("rate", Json::as_f64)?,
+            governed: j.field("governed", Json::as_bool)?,
+            hm_ipc: j.field("hm_ipc", Json::as_f64)?,
+            faults: j.field("faults", Json::as_u64)?,
+            degraded_epochs: j.field("degraded_epochs", Json::as_u64)?,
+            rollbacks: j.field("rollbacks", Json::as_u64)?,
+            quarantines: j.field("quarantines", Json::as_u64)?,
+            breaker_trips: j.field("breaker_trips", Json::as_u64)?,
+            epochs: checkpoint::decode_epochs(j)?,
+        })
+    }
 }
 
 /// Runs the paired sweep panic-isolated and (optionally) checkpointed:
@@ -153,28 +130,12 @@ pub fn sweep_resumable(
     let mix = build_mixes(seed, 1).remove(1); // a PrefAgg mix
     let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
     let items: Vec<(f64, bool)> = RATES.iter().flat_map(|&r| [(r, false), (r, true)]).collect();
-    let run = run_cells(
+    run_cells(
         &items,
         jobs,
         attempts,
+        ckpt,
         |_, &(rate, governed)| cell_label(rate, governed),
-        |k| {
-            let payload = ckpt?.cached(k)?;
-            match decode_cell(&payload) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!(
-                        "[repro] checkpoint entry '{k}' is undecodable ({e}); re-running cell"
-                    );
-                    None
-                }
-            }
-        },
-        |k, c: &GovCell| {
-            if let Some(ck) = ckpt {
-                ck.record(k, &encode_cell(c));
-            }
-        },
         |_, &(rate, governed)| {
             log.cell(&cell_label(rate, governed), || {
                 let faults = fault_config(fault_seed, rate);
@@ -203,11 +164,8 @@ pub fn sweep_resumable(
                 }
             })
         },
-    );
-    if run.resumed > 0 {
-        log.note(&format!("resume: spliced {} cached cell(s) from the checkpoint", run.resumed));
-    }
-    run.into_results()
+    )
+    .into_results()
 }
 
 /// [`sweep_resumable`] without checkpointing, panicking on cell failure —
@@ -261,6 +219,29 @@ pub fn rows(cells: &[GovCell]) -> Vec<Vec<String>> {
         })
         .collect()
 }
+
+/// The sweep's table: [`rows`] under the dominance gate's title.
+pub fn table(cells: &[GovCell]) -> String {
+    report::table(
+        "Safety-governor sweep — CBP bare vs governed, hm_ipc vs fault rate (gate: governed \
+         >= bare at every nonzero rate)",
+        &[
+            "rate",
+            "hm bare",
+            "hm gov",
+            "delta",
+            "faults",
+            "rollbacks",
+            "quarantines",
+            "breaker trips",
+            "verdict",
+        ],
+        &rows(cells),
+    )
+}
+
+/// What a failed [`passes`] gate means.
+pub const GATE_FAILURE: &str = "governor: governed CBP lost to bare CBP at a nonzero fault rate";
 
 /// True when the governed run dominates at every nonzero rate: losing to
 /// the bare run under faults means a defense is misfiring.
@@ -350,8 +331,8 @@ mod tests {
             breaker_trips: 4,
             epochs: vec![],
         };
-        let j = crate::json::parse(&encode_cell(&c)).expect("valid payload");
-        let back = decode_cell(&j).unwrap();
+        let j = crate::json::parse(&c.encode()).expect("valid payload");
+        let back = GovCell::decode(&j).unwrap();
         assert_eq!(back.rate, c.rate);
         assert!(back.governed);
         assert_eq!(back.hm_ipc, c.hm_ipc, "hm_ipc must be bit-identical");

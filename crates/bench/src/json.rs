@@ -34,6 +34,12 @@ impl Json {
         }
     }
 
+    /// Object field `key` converted by `as_t` (e.g. [`Json::as_u64`]), or
+    /// an error naming the key when it is missing or of another type.
+    pub fn field<'a, T>(&'a self, key: &str, as_t: fn(&'a Json) -> Option<T>) -> Result<T, String> {
+        self.get(key).and_then(as_t).ok_or_else(|| format!("missing '{key}'"))
+    }
+
     /// The value as a float, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -24,7 +24,8 @@
 //! across `--jobs` and `--resume` splices (the checkpoint payloads reuse
 //! the lossless [`crate::checkpoint`] MixResult codec).
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::Checkpoint;
+use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
 use cmm_core::experiment::{run_mix, run_mix_learned, ExperimentConfig, MixResult};
 use cmm_core::learned::{self, Learner, RlPolicy};
@@ -142,25 +143,11 @@ pub fn cell_label(mix: &str, mechanism: Mechanism) -> String {
 }
 
 /// Runs the (mix × mechanism) evaluation grid panic-isolated and
-/// (optionally) checkpointed. `seed` builds the standard mixes and seeds
-/// the RL policy's entropy stream; the grid order (per mix, [`MECHS`]
-/// order) is independent of `jobs`.
+/// (optionally) checkpointed, with `cfg`'s durations (the determinism
+/// tests use deliberately tiny windows). `seed` builds the standard mixes
+/// and seeds the RL policy's entropy stream; the grid order (per mix,
+/// [`MECHS`] order) is independent of `jobs`.
 pub fn evaluate_resumable(
-    quick: bool,
-    seed: u64,
-    jobs: usize,
-    attempts: u32,
-    log: &Progress,
-    ckpt: Option<&Checkpoint>,
-    model: &Model,
-) -> Result<Vec<MixResult>, Vec<CellFailure>> {
-    let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
-    evaluate_with(&cfg, seed, jobs, attempts, log, ckpt, model)
-}
-
-/// [`evaluate_resumable`] with an explicit [`ExperimentConfig`] — the
-/// determinism tests use deliberately tiny windows.
-pub fn evaluate_with(
     cfg: &ExperimentConfig,
     seed: u64,
     jobs: usize,
@@ -172,28 +159,12 @@ pub fn evaluate_with(
     let mixes = build_mixes(seed, 1);
     let items: Vec<(cmm_workloads::Mix, Mechanism)> =
         mixes.iter().flat_map(|m| MECHS.iter().map(move |&mech| (m.clone(), mech))).collect();
-    let run = run_cells(
+    run_cells(
         &items,
         jobs,
         attempts,
+        ckpt,
         |_, (mix, mech)| cell_label(&mix.name, *mech),
-        |k| {
-            let payload = ckpt?.cached(k)?;
-            match checkpoint::decode_mix_result(&payload) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    eprintln!(
-                        "[repro] checkpoint entry '{k}' is undecodable ({e}); re-running cell"
-                    );
-                    None
-                }
-            }
-        },
-        |k, r: &MixResult| {
-            if let Some(ck) = ckpt {
-                ck.record(k, &checkpoint::encode_mix_result(r));
-            }
-        },
         |_, (mix, mech)| {
             log.cell(&cell_label(&mix.name, *mech), || match mech {
                 Mechanism::MlSel => run_mix_learned(
@@ -211,11 +182,8 @@ pub fn evaluate_with(
                 _ => run_mix(mix, *mech, cfg),
             })
         },
-    );
-    if run.resumed > 0 {
-        log.note(&format!("resume: spliced {} cached cell(s) from the checkpoint", run.resumed));
-    }
-    run.into_results()
+    )
+    .into_results()
 }
 
 /// Decision churn of one run: epochs whose applied machine state
@@ -393,6 +361,48 @@ pub fn passes(cells: &[MixResult]) -> bool {
     !v.is_empty() && v.iter().all(MixVerdict::ok)
 }
 
+/// The evaluation's three tables: per-cell results, ML-Sel's decision
+/// agreement with CMM-a, and the per-mix gate verdicts.
+pub fn tables(cells: &[MixResult]) -> String {
+    let verdict_rows: Vec<Vec<String>> = verdicts(cells)
+        .iter()
+        .map(|v| {
+            vec![
+                v.mix.clone(),
+                format!("{:.3}", v.mlsel_ratio),
+                format!("{:.3}", v.rl_tail_ratio),
+                format!("{:.3}", v.rl_run_ratio),
+                if v.ok() { "ok" } else { "MISS" }.into(),
+            ]
+        })
+        .collect();
+    [
+        report::table(
+            "Learned controllers — per-mix hm_ipc, fairness and decision churn vs CMM-a/CBP",
+            &EVAL_HEADERS,
+            &rows(cells),
+        ),
+        report::table(
+            "ML-Sel vs CMM-a decision diff — per-epoch 0x1A4 agreement",
+            &AGREEMENT_HEADERS,
+            &agreement_rows(cells),
+        ),
+        report::table(
+            &format!(
+                "Gate — ML-Sel >= {MLSEL_FLOOR_RATIO:.2}x CMM-a on every mix; RL-CBP converges \
+                 to >= CMM-a (tail or whole-run)"
+            ),
+            &["mix", "mlsel/cmm", "rl tail/cmm", "rl run/cmm", "verdict"],
+            &verdict_rows,
+        ),
+    ]
+    .concat()
+}
+
+/// What a failed [`passes`] gate means.
+pub const GATE_FAILURE: &str =
+    "learn: a learned controller missed its gate (ML-Sel floor or RL-CBP convergence)";
+
 /// Journal cells in the harness's canonical grid order.
 pub fn journal_cells(cells: Vec<MixResult>) -> Vec<(String, Vec<EpochRecord>)> {
     cells.into_iter().map(|r| (cell_label(&r.mix_name, r.mechanism), r.epochs)).collect()
@@ -440,8 +450,9 @@ mod tests {
         let model = tiny_train();
         let log = Progress::new(false);
         let cfg = tiny_cfg();
-        let serial = evaluate_with(&cfg, 42, 1, 1, &log, None, &model).expect("serial grid");
-        let parallel = evaluate_with(&cfg, 42, 4, 1, &log, None, &model).expect("parallel grid");
+        let serial = evaluate_resumable(&cfg, 42, 1, 1, &log, None, &model).expect("serial grid");
+        let parallel =
+            evaluate_resumable(&cfg, 42, 4, 1, &log, None, &model).expect("parallel grid");
         assert_eq!(serial.len(), 4 * MECHS.len(), "4 standard mixes × mechanisms");
         let render = |cells: &[MixResult]| {
             journal_cells(cells.to_vec())
@@ -508,11 +519,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let (ck, _) = Checkpoint::open(&path, "learn", "fnv1a:test").unwrap();
-        let fresh = evaluate_with(&cfg, 42, 2, 1, &log, Some(&ck), &model).expect("fresh grid");
+        let fresh =
+            evaluate_resumable(&cfg, 42, 2, 1, &log, Some(&ck), &model).expect("fresh grid");
         drop(ck);
         let (ck, info) = Checkpoint::open(&path, "learn", "fnv1a:test").unwrap();
         assert_eq!(info.cached, fresh.len(), "every cell checkpointed");
-        let resumed = evaluate_with(&cfg, 42, 2, 1, &log, Some(&ck), &model).expect("resumed");
+        let resumed = evaluate_resumable(&cfg, 42, 2, 1, &log, Some(&ck), &model).expect("resumed");
         let render = |cells: &[MixResult]| {
             journal_cells(cells.to_vec())
                 .iter()

@@ -36,6 +36,8 @@
 use std::path::Path;
 use std::time::Instant;
 
+use cmm_core::json::{escape, Fixed6};
+
 /// Timing and volume of one completed repro target.
 #[derive(Debug, Clone)]
 pub struct TargetStats {
@@ -92,7 +94,7 @@ impl BenchLog {
         s.push_str(&format!("  \"quick\": {},\n", self.quick));
         s.push_str(&format!(
             "  \"total_wall_s\": {},\n",
-            json_f64(self.start.elapsed().as_secs_f64())
+            Fixed6(self.start.elapsed().as_secs_f64())
         ));
         s.push_str("  \"targets\": [");
         for (i, t) in self.targets.iter().enumerate() {
@@ -101,14 +103,14 @@ impl BenchLog {
             }
             s.push_str("\n    {\n");
             s.push_str(&format!("      \"name\": \"{}\",\n", escape(&t.name)));
-            s.push_str(&format!("      \"wall_s\": {},\n", json_f64(t.wall_s)));
+            s.push_str(&format!("      \"wall_s\": {},\n", Fixed6(t.wall_s)));
             s.push_str(&format!("      \"cells\": {},\n", t.cells));
             s.push_str(&format!("      \"sim_cycles\": {},\n", t.sim_cycles));
             let wall = t.wall_s.max(1e-9);
-            s.push_str(&format!("      \"cells_per_s\": {},\n", json_f64(t.cells as f64 / wall)));
+            s.push_str(&format!("      \"cells_per_s\": {},\n", Fixed6(t.cells as f64 / wall)));
             s.push_str(&format!(
                 "      \"sim_cycles_per_s\": {}\n",
-                json_f64(t.sim_cycles as f64 / wall)
+                Fixed6(t.sim_cycles as f64 / wall)
             ));
             s.push_str("    }");
         }
@@ -124,27 +126,6 @@ impl BenchLog {
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         crate::atomic::write_atomic(path, self.to_json().as_bytes())
     }
-}
-
-/// JSON-safe float formatting: finite values print with enough digits to
-/// round-trip; anything non-finite degrades to 0 (JSON has no NaN).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -171,17 +152,6 @@ mod tests {
         let log = BenchLog::new(1, false);
         let j = log.to_json();
         assert!(j.contains("\"targets\": []"));
-    }
-
-    #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-    }
-
-    #[test]
-    fn non_finite_floats_degrade() {
-        assert_eq!(json_f64(f64::NAN), "0.0");
-        assert!(json_f64(1.5).starts_with("1.5"));
     }
 
     #[test]

@@ -36,6 +36,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::chaos;
+use crate::checkpoint::{CellCodec, Checkpoint};
 
 /// Default per-cell attempt budget: one run plus two retries.
 pub const DEFAULT_ATTEMPTS: u32 = 3;
@@ -82,8 +83,6 @@ pub enum CellOutcome<R> {
 pub struct CellRun<R> {
     /// One outcome per input item, in input order.
     pub outcomes: Vec<CellOutcome<R>>,
-    /// Cells answered from the resume cache without running.
-    pub resumed: usize,
 }
 
 impl<R> CellRun<R> {
@@ -195,16 +194,45 @@ fn run_one<T, R>(
 /// * `key` names each cell stably (the journal run label); keys drive
 ///   checkpoint lookups and the seeded chaos schedule, so they must be
 ///   independent of scheduling.
-/// * `cached` answers a cell from the resume sidecar; a `Some` result is
-///   spliced in without running `f` (counted in [`CellRun::resumed`]).
-/// * `record` persists a freshly computed result (checkpoint append); it
-///   runs before the cell counts as complete, so a kill directly after it
-///   resumes without losing the cell.
+/// * With `ckpt`, a cell whose key the sidecar holds is spliced from its
+///   cached payload without running `f`, and an undecodable payload
+///   re-runs the cell ([`Checkpoint::splice`]). Every freshly computed
+///   result is recorded before the cell counts as complete, so a kill
+///   directly after it resumes without losing the cell.
 ///
 /// Work is distributed dynamically (an atomic next-index counter), so a
 /// slow cell does not stall the queue behind it. `jobs <= 1` — or a
 /// single-item list — runs serially inline.
 pub fn run_cells<T, R>(
+    items: &[T],
+    jobs: usize,
+    attempts: u32,
+    ckpt: Option<&Checkpoint>,
+    key: impl Fn(usize, &T) -> String + Sync,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> CellRun<R>
+where
+    T: Sync,
+    R: CellCodec + Send,
+{
+    run_isolated(
+        items,
+        jobs,
+        attempts,
+        key,
+        |k| ckpt?.splice(k),
+        |k, r: &R| {
+            if let Some(ck) = ckpt {
+                ck.record(k, &r.encode());
+            }
+        },
+        f,
+    )
+}
+
+/// [`run_cells`] with the cache as plain closures: `cached` answers a
+/// cell without running it, `record` persists a fresh result.
+fn run_isolated<T, R>(
     items: &[T],
     jobs: usize,
     attempts: u32,
@@ -217,11 +245,9 @@ where
     T: Sync,
     R: Send,
 {
-    let resumed = AtomicUsize::new(0);
     let cell = |i: usize| -> CellOutcome<R> {
         let k = key(i, &items[i]);
         if let Some(r) = cached(&k) {
-            resumed.fetch_add(1, Ordering::Relaxed);
             return CellOutcome::Ok(r);
         }
         let outcome = run_one(i, &items[i], &k, attempts, &f);
@@ -234,7 +260,7 @@ where
 
     if jobs <= 1 || items.len() <= 1 {
         let outcomes = (0..items.len()).map(cell).collect();
-        return CellRun { outcomes, resumed: resumed.into_inner() };
+        return CellRun { outcomes };
     }
 
     let next = AtomicUsize::new(0);
@@ -259,7 +285,7 @@ where
         .into_iter()
         .map(|o| o.expect("every index was processed"))
         .collect();
-    CellRun { outcomes, resumed: resumed.into_inner() }
+    CellRun { outcomes }
 }
 
 /// Panic-isolated map without checkpointing: every cell runs (or fails)
@@ -275,7 +301,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_cells(items, jobs, attempts, |i, _| format!("cell-{i}"), |_| None, |_, _| (), f).outcomes
+    run_isolated(items, jobs, attempts, |i, _| format!("cell-{i}"), |_| None, |_, _| (), f).outcomes
 }
 
 /// Maps `f` over `items` with `jobs` worker threads, returning results in
@@ -284,7 +310,8 @@ where
 /// Cells are panic-isolated: a panicking cell no longer aborts its
 /// siblings mid-flight — every cell runs to completion and the collected
 /// failures surface as one panic afterwards. Callers that want to survive
-/// failures use [`run_cells`] and handle [`CellOutcome::Failed`] instead.
+/// failures use [`try_parallel_map`] or [`run_cells`] and handle
+/// [`CellOutcome::Failed`] instead.
 pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -425,7 +452,7 @@ mod tests {
     fn transient_panic_heals_within_the_attempt_budget() {
         let tries = Mutex::new(vec![0u32; 8]);
         let items: Vec<usize> = (0..8).collect();
-        let run = run_cells(
+        let run = run_isolated(
             &items,
             3,
             3,
@@ -448,7 +475,7 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_reports_the_failure() {
-        let run = run_cells(
+        let run = run_isolated(
             &[1u32],
             1,
             4,
@@ -469,7 +496,7 @@ mod tests {
         let ran = Mutex::new(Vec::new());
         let recorded = Mutex::new(Vec::new());
         let items: Vec<usize> = (0..6).collect();
-        let run = run_cells(
+        let run = run_isolated(
             &items,
             2,
             1,
@@ -481,7 +508,6 @@ mod tests {
                 i
             },
         );
-        assert_eq!(run.resumed, 2);
         let results = run.into_results().unwrap();
         assert_eq!(results, vec![0, 1, 999, 3, 999, 5]);
         let mut ran = ran.into_inner().unwrap();
@@ -494,6 +520,43 @@ mod tests {
             rec.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
             ["k0", "k1", "k3", "k5"]
         );
+    }
+
+    #[test]
+    fn undecodable_cached_payload_is_rerun_and_rerecorded() {
+        let dir = std::env::temp_dir().join("cmm_runner_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("corrupt-{}.jsonl", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let (ck, _) = Checkpoint::open(&path, "fig7", "fnv1a:test").unwrap();
+        ck.record("k0", &10.0f64.encode());
+        ck.record("k1", "{\"bogus\":1}");
+        drop(ck);
+
+        let (ck, _) = Checkpoint::open(&path, "fig7", "fnv1a:test").unwrap();
+        let ran = Mutex::new(Vec::new());
+        let items = [0usize, 1, 2];
+        let run = run_cells(
+            &items,
+            1,
+            1,
+            Some(&ck),
+            |i, _| format!("k{i}"),
+            |i, _| {
+                ran.lock().unwrap().push(i);
+                i as f64 + 0.5
+            },
+        );
+        assert_eq!(ck.spliced(), 1, "only the valid payload splices");
+        assert_eq!(run.into_results().unwrap(), vec![10.0, 1.5, 2.5]);
+        assert_eq!(ran.into_inner().unwrap(), vec![1, 2], "the corrupt cell re-runs");
+        drop(ck);
+
+        // The fresh result supersedes the corrupt record on the next open.
+        let (ck, info) = Checkpoint::open(&path, "fig7", "fnv1a:test").unwrap();
+        assert_eq!(info.cached, 3);
+        assert_eq!(ck.splice::<f64>("k1"), Some(1.5));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

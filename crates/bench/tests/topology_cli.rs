@@ -1,43 +1,80 @@
-//! `repro` must not journal a topology it did not run: every target that
-//! builds its machine without the topology-aware evaluation config
-//! refuses a multi-socket `--topology` before simulating anything.
+//! `repro` refuses every flag a target does not honour: a multi-socket
+//! `--topology` on a target that runs (part of its work) single-socket,
+//! and `--resume`, `--trace-dir`, `--csv` or `--model` on a target that
+//! would silently ignore them. Each refusal exits 2 with a one-line
+//! reason before loading, simulating or writing anything.
 
 use std::process::Command;
 
+/// `(target arguments, the refused flag and its value)`.
+const REFUSALS: &[(&[&str], &[&str])] = &[
+    (&["faults"], &["--topology", "2x16"]),
+    (&["governor"], &["--topology", "2x16"]),
+    (&["learn"], &["--topology", "2x16"]),
+    (&["learn", "train"], &["--topology", "2x16"]),
+    (&["extension"], &["--topology", "2x16"]),
+    (&["ablate"], &["--topology", "2x16"]),
+    (&["table1"], &["--topology", "2x16"]),
+    (&["fig1"], &["--topology", "2x16"]),
+    (&["fig2"], &["--topology", "2x16"]),
+    (&["fig3"], &["--topology", "2x16"]),
+    (&["fig5"], &["--topology", "2x16"]),
+    (&["all"], &["--topology", "2x16"]),
+    (&["fig5"], &["--resume", "refused.ckpt"]),
+    (&["scale"], &["--resume", "refused.ckpt"]),
+    (&["scale", "--topology", "1x8"], &["--resume", "refused.ckpt"]),
+    (&["fig5"], &["--trace-dir", "traces"]),
+    (&["faults"], &["--trace-dir", "traces"]),
+    (&["fig7"], &["--model", "no-such.model"]),
+    (&["table1"], &["--csv", "csv-out"]),
+    (&["learn"], &["--csv", "csv-out"]),
+];
+
 #[test]
-fn single_socket_targets_refuse_a_multi_socket_topology() {
-    let dir = std::env::temp_dir().join(format!("cmm-topology-cli-{}", std::process::id()));
+fn targets_refuse_the_flags_they_do_not_honour() {
+    let dir = std::env::temp_dir().join(format!("cmm-refusal-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // A loadable trace set, so a `--trace-dir` refusal is the target's
+    // and not the trace loader's.
+    std::fs::create_dir_all(dir.join("traces")).unwrap();
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../benchmarks/fixtures/trace_sample.trc");
+    std::fs::copy(fixture, dir.join("traces/sample.trc")).unwrap();
     let journal = dir.join("journal.jsonl");
-    let targets: [&[&str]; 11] = [
-        &["faults"],
-        &["governor"],
-        &["learn"],
-        &["learn", "train"],
-        &["extension"],
-        &["ablate"],
-        &["table1"],
-        &["fig1"],
-        &["fig2"],
-        &["fig3"],
-        &["fig5"],
-    ];
-    for target in targets {
+    for &(target, flag) in REFUSALS {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(target)
-            .args(["--quick", "--topology", "2x16", "--journal"])
+            .args(flag)
+            .args(["--quick", "--journal"])
             .arg(&journal)
             .arg("--bench-json")
             .arg(dir.join("bench.json"))
             .current_dir(&dir)
             .output()
             .expect("repro binary runs");
-        assert_eq!(out.status.code(), Some(2), "{target:?} must refuse --topology 2x16");
-        assert!(out.stdout.is_empty(), "{target:?} printed to stdout");
+        let case = format!("{target:?} {flag:?}");
+        assert_eq!(out.status.code(), Some(2), "{case} must be refused");
+        assert!(out.stdout.is_empty(), "{case} printed to stdout");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(stderr.lines().count(), 1, "{target:?}: one-line reason, got {stderr}");
-        assert!(stderr.contains("2x16"), "{target:?}: {stderr}");
-        assert!(!journal.exists(), "{target:?} wrote a journal");
+        assert_eq!(stderr.lines().count(), 1, "{case}: one-line reason, got {stderr}");
+        assert!(stderr.contains(flag[0]), "{case}: the reason names the flag: {stderr}");
+        if flag[0] == "--topology" {
+            assert!(stderr.contains(flag[1]), "{case}: {stderr}");
+        }
+        assert!(!journal.exists(), "{case} wrote a journal");
+        assert!(!dir.join("refused.ckpt").exists(), "{case} wrote a checkpoint sidecar");
+        assert!(!dir.join("csv-out").exists(), "{case} wrote CSV output");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_targets_are_refused_with_the_target_list() {
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_repro")).arg("fig6").output().expect("repro binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for name in ["table1", "fairness", "ablate", "extension", "scale", "learn", "all"] {
+        assert!(stderr.contains(name), "the error lists {name}: {stderr}");
+    }
 }

@@ -25,6 +25,9 @@
 //! * [`governor`] — the runtime safety governor: apply-then-verify with
 //!   rollback, PMU anomaly quarantine, and per-register-class circuit
 //!   breakers wrapping any mechanism the driver runs.
+//! * [`json`] — the JSON writer helpers (string escaping, float
+//!   renderings, arrays) shared by the run journal, the checkpoint
+//!   payloads and the perf log.
 //!
 //! The controller talks to the machine exclusively through the
 //! [`substrate::Substrate`] trait — PMU reads, MSR 0x1A4 throttle writes,
@@ -41,6 +44,7 @@ pub mod experiment;
 pub mod fault;
 pub mod frontend;
 pub mod governor;
+pub mod json;
 pub mod learned;
 pub mod policy;
 pub mod resctrl;

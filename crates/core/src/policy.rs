@@ -65,7 +65,7 @@ pub enum Mechanism {
 
 impl Mechanism {
     /// The seven managed mechanisms, in the paper's Fig. 13 order.
-    pub fn all_managed() -> [Mechanism; 7] {
+    pub const fn all_managed() -> [Mechanism; 7] {
         [
             Mechanism::Pt,
             Mechanism::Dunn,

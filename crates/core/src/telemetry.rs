@@ -37,6 +37,7 @@
 //! fixture.
 
 use crate::frontend::Metrics;
+use crate::json::{escape, push_array, Fixed6};
 use cmm_sim::system::CoreControl;
 
 /// One substrate fault the controller observed, and what it did about it.
@@ -229,67 +230,59 @@ impl EpochRecord {
         }
         s.push_str(&format!(",\"epoch\":{}", self.epoch));
         s.push_str(&format!(",\"cycle\":{}", self.cycle));
-        s.push_str(",\"cores\":[");
-        for (i, c) in self.cores.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let m = &c.metrics;
-            s.push_str(&format!(
-                "{{\"ipc\":{},\"m1_l2_llc\":{},\"m2_pf_frac\":{},\"m3_ptr\":{},\
-                 \"m4_pga\":{},\"m5_pmr\":{},\"m6_ppm\":{},\"m7_llc_pt\":{}}}",
-                num(c.ipc),
-                m.l2_llc_traffic,
-                num(m.l2_pf_miss_frac),
-                num(m.l2_ptr),
-                num(m.pga),
-                num(m.l2_pmr),
-                num(m.l2_ppm),
-                num(m.llc_pt),
-            ));
-        }
-        s.push(']');
-        s.push_str(&format!(",\"agg\":{}", idx_list(&self.agg)));
-        s.push_str(&format!(",\"friendly\":{}", idx_list(&self.friendly)));
-        s.push_str(&format!(",\"unfriendly\":{}", idx_list(&self.unfriendly)));
-        s.push_str(",\"trials\":[");
-        for (i, t) in self.trials.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let mba = if t.mba.is_empty() {
-                String::new()
-            } else {
-                format!(",\"mba\":{}", u64_list(&t.mba))
-            };
-            s.push_str(&format!(
-                "{{\"msr_1a4\":{}{},\"hm_ipc\":{}}}",
-                u64_list(&t.msr_1a4),
-                mba,
-                num(t.hm_ipc)
-            ));
-        }
-        s.push(']');
+        s.push_str(",\"cores\":");
+        push_array(
+            &mut s,
+            self.cores.iter().map(|c| {
+                let m = &c.metrics;
+                format!(
+                    "{{\"ipc\":{},\"m1_l2_llc\":{},\"m2_pf_frac\":{},\"m3_ptr\":{},\
+                     \"m4_pga\":{},\"m5_pmr\":{},\"m6_ppm\":{},\"m7_llc_pt\":{}}}",
+                    Fixed6(c.ipc),
+                    m.l2_llc_traffic,
+                    Fixed6(m.l2_pf_miss_frac),
+                    Fixed6(m.l2_ptr),
+                    Fixed6(m.pga),
+                    Fixed6(m.l2_pmr),
+                    Fixed6(m.l2_ppm),
+                    Fixed6(m.llc_pt),
+                )
+            }),
+        );
+        s.push_str(",\"agg\":");
+        push_array(&mut s, &self.agg);
+        s.push_str(",\"friendly\":");
+        push_array(&mut s, &self.friendly);
+        s.push_str(",\"unfriendly\":");
+        push_array(&mut s, &self.unfriendly);
+        s.push_str(",\"trials\":");
+        push_array(
+            &mut s,
+            self.trials.iter().map(|t| {
+                let mut o = String::from("{\"msr_1a4\":");
+                push_array(&mut o, &t.msr_1a4);
+                if !t.mba.is_empty() {
+                    o.push_str(",\"mba\":");
+                    push_array(&mut o, &t.mba);
+                }
+                o.push_str(&format!(",\"hm_ipc\":{}}}", Fixed6(t.hm_ipc)));
+                o
+            }),
+        );
         match self.winner {
             Some(w) => s.push_str(&format!(",\"winner\":{w}")),
             None => s.push_str(",\"winner\":null"),
         }
         match self.exec_hm_ipc {
-            Some(v) => s.push_str(&format!(",\"exec_hm_ipc\":{}", num(v))),
+            Some(v) => s.push_str(&format!(",\"exec_hm_ipc\":{}", Fixed6(v))),
             None => s.push_str(",\"exec_hm_ipc\":null"),
         }
         match self.exec_ipc_delta {
-            Some(v) => s.push_str(&format!(",\"exec_ipc_delta\":{}", num(v))),
+            Some(v) => s.push_str(&format!(",\"exec_ipc_delta\":{}", Fixed6(v))),
             None => s.push_str(",\"exec_ipc_delta\":null"),
         }
-        s.push_str(",\"faults\":[");
-        for (i, f) in self.faults.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&f.to_json());
-        }
-        s.push(']');
+        s.push_str(",\"faults\":");
+        push_array(&mut s, self.faults.iter().map(FaultRecord::to_json));
         match self.degraded {
             Some(d) => s.push_str(&format!(",\"degraded\":\"{}\"", escape(d))),
             None => s.push_str(",\"degraded\":null"),
@@ -297,42 +290,33 @@ impl EpochRecord {
         // The governor key joined in schema /5; epochs the governor never
         // touched omit it so ungoverned journals stay byte-identical.
         if !self.governor.is_empty() {
-            s.push_str(",\"governor\":[");
-            for (i, g) in self.governor.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&g.to_json());
-            }
-            s.push(']');
+            s.push_str(",\"governor\":");
+            push_array(&mut s, self.governor.iter().map(GovernorEvent::to_json));
         }
         // The learned-controller keys joined in schema /6; epochs from
         // unlearned mechanisms omit both so /1–/5 journals stay
         // byte-identical.
         if !self.features.is_empty() {
-            s.push_str(",\"features\":[");
-            push_joined(&mut s, self.features.iter().map(|&v| num(v)));
-            s.push(']');
+            s.push_str(",\"features\":");
+            push_array(&mut s, self.features.iter().map(|&v| Fixed6(v)));
         }
         if let Some(a) = &self.action {
             s.push_str(&format!(",\"action\":\"{}\"", escape(a)));
         }
-        s.push_str(",\"applied\":{\"clos\":[");
-        push_joined(&mut s, self.applied.iter().map(|a| a.clos.to_string()));
-        s.push_str("],\"way_mask\":[");
-        push_joined(&mut s, self.applied.iter().map(|a| a.way_mask.to_string()));
-        s.push_str("],\"msr_1a4\":[");
-        push_joined(&mut s, self.applied.iter().map(|a| a.msr_1a4.to_string()));
-        s.push_str("],\"prefetch\":[");
-        push_joined(&mut s, self.applied.iter().map(|a| a.prefetching().to_string()));
-        s.push(']');
+        s.push_str(",\"applied\":{\"clos\":");
+        push_array(&mut s, self.applied.iter().map(|a| a.clos));
+        s.push_str(",\"way_mask\":");
+        push_array(&mut s, self.applied.iter().map(|a| a.way_mask));
+        s.push_str(",\"msr_1a4\":");
+        push_array(&mut s, self.applied.iter().map(|a| a.msr_1a4));
+        s.push_str(",\"prefetch\":");
+        push_array(&mut s, self.applied.iter().map(|a| a.prefetching()));
         // The bandwidth knob joined in schema /4; epochs that never engage
         // it (every level still 0) omit the key so /1–/3 journals are
         // byte-identical to the pre-MBA renderer.
         if self.applied.iter().any(|a| a.mba_level != 0) {
-            s.push_str(",\"mba\":[");
-            push_joined(&mut s, self.applied.iter().map(|a| a.mba_level.to_string()));
-            s.push(']');
+            s.push_str(",\"mba\":");
+            push_array(&mut s, self.applied.iter().map(|a| a.mba_level));
         }
         s.push_str("}}");
         s
@@ -435,50 +419,6 @@ pub fn config_digest(canonical: &str) -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("fnv1a:{h:016x}")
-}
-
-/// JSON float: finite values round-trip at 6 decimals (the journal is a
-/// decision log, not a bit-exact PMU dump); non-finite degrades to 0.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn idx_list(v: &[usize]) -> String {
-    let mut s = String::from("[");
-    push_joined(&mut s, v.iter().map(|i| i.to_string()));
-    s.push(']');
-    s
-}
-
-fn u64_list(v: &[u64]) -> String {
-    let mut s = String::from("[");
-    push_joined(&mut s, v.iter().map(|i| i.to_string()));
-    s.push(']');
-    s
-}
-
-fn push_joined(s: &mut String, items: impl Iterator<Item = String>) {
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&item);
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -789,11 +729,5 @@ mod tests {
         assert_eq!(config_digest("a"), config_digest("a"));
         assert_ne!(config_digest("a"), config_digest("b"));
         assert_eq!(config_digest(""), "fnv1a:cbf29ce484222325");
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("a\nb"), "a\\u000ab");
     }
 }

@@ -293,10 +293,11 @@ smoke_scale() {
         return 1
     fi
     grep -q 'topology mismatch' "$tmp/scale-diff.err"
-    # Single-socket-only targets refuse a multi-socket --topology (exit 2,
-    # nothing on stdout) instead of journaling a topology they never ran.
+    # Targets that run (part of their work) single-socket refuse a
+    # multi-socket --topology (exit 2, nothing on stdout) instead of
+    # journaling a topology they never ran.
     local t code
-    for t in governor learn; do
+    for t in governor learn all; do
         code=0
         ./target/release/repro "$t" --quick --topology 2x16 \
             --bench-json "$tmp/BENCH_refused.json" \
@@ -310,6 +311,24 @@ smoke_scale() {
             return 1
         }
     done
+    # A flag the target does not honour is refused too: scale keeps no
+    # checkpoint, so --resume must exit 2 without creating the sidecar.
+    code=0
+    ./target/release/repro scale --quick --resume "$tmp/refused.ckpt" \
+        --bench-json "$tmp/BENCH_refused.json" \
+        --journal "$tmp/refused.scale.jsonl" > "$tmp/refused.scale.txt" 2> /dev/null || code=$?
+    [ "$code" -eq 2 ] || {
+        echo "repro scale --resume exited $code, want 2" >&2
+        return 1
+    }
+    [ ! -s "$tmp/refused.scale.txt" ] || {
+        echo "repro scale --resume printed to stdout" >&2
+        return 1
+    }
+    [ ! -e "$tmp/refused.ckpt" ] || {
+        echo "repro scale --resume wrote a checkpoint sidecar" >&2
+        return 1
+    }
 }
 step "repro smoke_scale (1x8 golden diff, 2x16 determinism, /3 journal, refusals)" smoke_scale
 
