@@ -123,6 +123,7 @@
 //! `--fault-seed` seeds the `faults`/`governor` targets' injected fault
 //! schedule (and the governor's jitter stream).
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use cmm_bench::ablate;
@@ -136,14 +137,15 @@ use cmm_bench::perf::BenchLog;
 use cmm_bench::runner::{default_jobs, parallel_map, CellFailure, Progress, DEFAULT_ATTEMPTS};
 use cmm_bench::{compare, diff, faults, governor, journal, learn, report, soak};
 use cmm_core::backend;
-use cmm_core::experiment::{run_alone_ipcs, run_mix_pooled, ExperimentConfig, WarmupPool};
+use cmm_core::experiment::{
+    run_alone_ipcs, run_mix_pooled, warm_mix, ExperimentConfig, WarmupPool,
+};
 use cmm_core::frontend::{detect_agg, metrics, DetectorConfig};
 use cmm_core::policy::{ControllerConfig, Mechanism};
 use cmm_core::telemetry::EpochRecord;
 use cmm_learn::{fnv1a, Model};
 use cmm_metrics as met;
 use cmm_sim::config::{SystemConfig, Topology};
-use cmm_sim::System;
 use cmm_workloads::spec::{self, thresholds, Benchmark};
 use cmm_workloads::{build_mixes, Category, Mix, TraceSet};
 use Runner::{Eval, Own};
@@ -512,13 +514,6 @@ fn char_cfg(quick: bool) -> (SystemConfig, CharacterizeConfig) {
     (sys, cfg)
 }
 
-/// Work volume of a roster target: the roster size and the simulated
-/// core-cycles of one characterisation run.
-fn roster_volume(quick: bool) -> (u64, u64) {
-    let (_, cfg) = char_cfg(quick);
-    (spec::roster().len() as u64, cfg.warmup + cfg.measure)
-}
-
 /// The shared evaluation's configuration: `--quick`, `--mixes`, `--seed`,
 /// `--jobs`, `--attempts`, a multi-socket `--topology` (mixes are tiled
 /// to the machine inside `evaluate_resumable`; a single-socket one is a
@@ -538,26 +533,16 @@ fn eval_cfg(args: &Args, traces: Option<&TraceSet>) -> EvalConfig {
     cfg
 }
 
-/// Work volume (cells, simulated core-cycles) of one full evaluation.
-fn eval_volume(cfg: &EvalConfig, mechanisms: &[Mechanism]) -> (u64, u64) {
+/// Cells of one full evaluation: every (mix, mechanism) run, the
+/// baseline included, plus one alone run per distinct workload.
+fn eval_cell_count(cfg: &EvalConfig, mechanisms: &[Mechanism]) -> u64 {
     let mixes = match &cfg.trace_mixes {
         Some(m) => m.clone(),
         None => build_mixes(cfg.seed, cfg.mixes_per_category),
     };
-    let mut distinct: Vec<String> = Vec::new();
-    for mix in &mixes {
-        for s in &mix.slots {
-            if !distinct.iter().any(|n| n == s.name()) {
-                distinct.push(s.name().to_string());
-            }
-        }
-    }
-    let per_mix = (cfg.exp.warmup_cycles + cfg.exp.total_cycles) * cfg.exp.sys.num_cores as u64;
-    let per_alone = cfg.exp.warmup_cycles + cfg.exp.alone_cycles;
-    let mix_cells = (mixes.len() * (1 + mechanisms.len())) as u64;
-    let cells = mix_cells + distinct.len() as u64;
-    let cycles = mix_cells * per_mix + distinct.len() as u64 * per_alone;
-    (cells, cycles)
+    let distinct: HashSet<&str> =
+        mixes.iter().flat_map(|m| m.slots.iter().map(|s| s.name())).collect();
+    (mixes.len() * (1 + mechanisms.len()) + distinct.len()) as u64
 }
 
 /// Renders figure series for stdout and, under `--csv DIR`, also writes
@@ -643,9 +628,9 @@ fn run_roster(
         ) -> (Vec<String>, Option<Vec<EpochRecord>>)
         + Sync,
 ) {
-    let (n, c1) = roster_volume(r.args.quick);
+    let n = spec::roster().len() as u64;
     let (quick, jobs, log) = (r.args.quick, r.args.jobs, r.log);
-    let leg = r.bench.measure(name, runs * n, runs * n * c1, || {
+    let leg = r.bench.measure(name, runs * n, || {
         let (sys, cfg) = char_cfg(quick);
         let results = parallel_map(spec::roster(), jobs, |_, b| {
             let label = format!("{name}: {}", b.name);
@@ -782,14 +767,11 @@ fn run_fig3(r: &mut Run, name: &'static str) {
 /// Fig. 5: the detector cascade on one Pref Agg mix.
 fn run_fig5(r: &mut Run, name: &'static str) {
     let quick = r.args.quick;
-    let cycles = if quick { 340_000u64 } else { 700_000 } * 8;
-    let out = r.bench.measure(name, 1, cycles, || {
+    let mut cfg = exp_cfg(quick);
+    cfg.warmup_cycles = if quick { 300_000 } else { 600_000 };
+    let out = r.bench.measure(name, 1, || {
         let mix: Mix = build_mixes(42, 1)[1].clone();
-        let mut sys_cfg = SystemConfig::scaled(8);
-        sys_cfg.set_num_cores(mix.num_cores());
-        let workloads = mix.instantiate(sys_cfg.llc.size_bytes);
-        let mut sys = System::new(sys_cfg, workloads);
-        sys.run(if quick { 300_000 } else { 600_000 });
+        let mut sys = warm_mix(None, &mix, &cfg);
         let deltas = backend::sample(&mut sys, if quick { 40_000 } else { 100_000 });
         let det_cfg = DetectorConfig::default();
         let agg = detect_agg(&deltas, &det_cfg);
@@ -824,11 +806,10 @@ fn run_fig5(r: &mut Run, name: &'static str) {
 /// target `name` and renders it through `views`.
 fn run_eval(r: &mut Run, name: &str, what: &str, mechs: &[Mechanism], views: &[View]) {
     let cfg = eval_cfg(r.args, r.traces);
-    let (n_cells, cycles) = eval_volume(&cfg, mechs);
+    let n_cells = eval_cell_count(&cfg, mechs);
     let ckpt = r.ckpt;
-    let eval = r
-        .bench
-        .measure(name, n_cells, cycles, || figures::evaluate_resumable(mechs, &cfg, true, ckpt));
+    let eval =
+        r.bench.measure(name, n_cells, || figures::evaluate_resumable(mechs, &cfg, true, ckpt));
     let csv = r.args.csv.as_deref();
     let leg = eval.map(|eval| Leg {
         out: views.iter().map(|view| view(&eval, csv)).collect(),
@@ -879,11 +860,7 @@ fn overhead(eval: &Evaluation, _csv: Option<&Path>) -> String {
 }
 
 fn run_ablate(r: &mut Run, name: &'static str) {
-    let e = exp_cfg(r.args.quick);
-    // 18 grid points, each ≈ one mix of alone runs + 2 mix runs.
-    let per_point =
-        8 * (e.warmup_cycles + e.alone_cycles) + 2 * (e.warmup_cycles + e.total_cycles) * 8;
-    let mut cfg = e;
+    let mut cfg = exp_cfg(r.args.quick);
     if r.args.quick {
         cfg.total_cycles = 1_000_000;
     }
@@ -892,7 +869,8 @@ fn run_ablate(r: &mut Run, name: &'static str) {
         None => ablate::default_mixes(),
     };
     let (jobs, log) = (r.args.jobs, r.log);
-    let leg = r.bench.measure(name, 18 * 10, 18 * per_point, || {
+    // 18 grid points, each one mix of alone runs plus 2 mix runs.
+    let leg = r.bench.measure(name, 18 * 10, || {
         let mut leg = Leg::default();
         type Sweep = fn(&ExperimentConfig, &[Mix], usize) -> Vec<ablate::AblationPoint>;
         let sweeps: [(&str, &str, &str, Sweep); 3] = [
@@ -935,14 +913,12 @@ fn run_ablate(r: &mut Run, name: &'static str) {
 
 fn run_extension(r: &mut Run, name: &'static str) {
     let cfg = exp_cfg(r.args.quick);
-    let per_mix =
-        8 * (cfg.warmup_cycles + cfg.alone_cycles) + 3 * (cfg.warmup_cycles + cfg.total_cycles) * 8;
     let mixes: Vec<Mix> = build_mixes(r.args.seed, 2)
         .into_iter()
         .filter(|m| matches!(m.category, Category::PrefUnfri | Category::PrefAgg))
         .collect();
     let (jobs, log) = (r.args.jobs, r.log);
-    let leg = r.bench.measure(name, 4 * 11, 4 * per_mix, || {
+    let leg = r.bench.measure(name, 4 * 11, || {
         let results: Vec<(Vec<String>, Vec<JournalCell>)> = parallel_map(&mixes, jobs, |_, mix| {
             log.cell(&format!("{name}: {}", mix.name), || {
                 let pool = WarmupPool::new();
@@ -978,12 +954,10 @@ fn run_extension(r: &mut Run, name: &'static str) {
 /// MBA-register faults (the CBP -> CMM-a degradation rung). Each leg is
 /// its own perf-log target, named by the leg.
 fn run_faults(r: &mut Run, _: &'static str) {
-    let e = exp_cfg(r.args.quick);
     let n = faults::RATES.len() as u64;
-    let per_rate = (e.warmup_cycles + e.total_cycles) * 8;
     let (a, log, ckpt) = (r.args, r.log, r.ckpt);
     for leg in [&faults::UNIFORM, &faults::MBA] {
-        let sweep = r.bench.measure(leg.name, n, n * per_rate, || {
+        let sweep = r.bench.measure(leg.name, n, || {
             faults::sweep_resumable(
                 leg,
                 a.quick,
@@ -1005,12 +979,10 @@ fn run_faults(r: &mut Run, _: &'static str) {
 }
 
 fn run_governor(r: &mut Run, name: &'static str) {
-    let e = exp_cfg(r.args.quick);
     // Two legs (bare, governed) per swept rate.
     let n = 2 * governor::RATES.len() as u64;
-    let per_cell = (e.warmup_cycles + e.total_cycles) * 8;
     let (a, log, ckpt) = (r.args, r.log, r.ckpt);
-    let sweep = r.bench.measure(name, n, n * per_cell, || {
+    let sweep = r.bench.measure(name, n, || {
         governor::sweep_resumable(a.quick, a.seed, a.fault_seed, a.jobs, a.attempts, log, ckpt)
     });
     let done = sweep.map(|s| Leg {
@@ -1027,9 +999,8 @@ fn run_learn(r: &mut Run, name: &'static str) {
     // 4 standard mixes × 5 mechanisms (baseline, CMM-a, CBP and the two
     // learned controllers).
     let n = 4 * learn::MECHS.len() as u64;
-    let per_cell = (e.warmup_cycles + e.total_cycles) * 8;
     let (a, log, ckpt) = (r.args, r.log, r.ckpt);
-    let eval = r.bench.measure(name, n, n * per_cell, || {
+    let eval = r.bench.measure(name, n, || {
         learn::evaluate_resumable(&e, a.seed, a.jobs, a.attempts, log, ckpt, model)
     });
     let done = eval.map(|results| Leg {
@@ -1073,9 +1044,8 @@ fn run_scale(r: &mut Run, name: &'static str) {
             .map(|m| m.tiled(topo.total_cores()))
             .flat_map(|m| mechs.into_iter().map(move |mech| (m.clone(), mech)))
             .collect();
-        let per_cell = (cfg.warmup_cycles + cfg.total_cycles) * topo.total_cores() as u64;
         let n = pairs.len() as u64;
-        let results = r.bench.measure(&format!("{name}_{}", topo.label()), n, n * per_cell, || {
+        let results = r.bench.measure(&format!("{name}_{}", topo.label()), n, || {
             let pool = WarmupPool::new();
             parallel_map(&pairs, jobs, |_, (mix, mech)| {
                 log.cell(&format!("{name} {}: {} {}", topo.label(), mix.name, mech.label()), || {

@@ -5,12 +5,12 @@
 //! prefetchers on and once with them off, plus a CAT way sweep for Fig. 3.
 
 use cmm_core::driver::Driver;
+use cmm_core::experiment::alone_system;
 use cmm_core::frontend::{self, Metrics};
 use cmm_core::policy::{ControllerConfig, Mechanism};
 use cmm_core::telemetry::EpochRecord;
 use cmm_sim::config::SystemConfig;
 use cmm_sim::msr::contiguous_mask;
-use cmm_sim::workload::Workload;
 use cmm_sim::System;
 use cmm_workloads::spec::Benchmark;
 
@@ -62,13 +62,6 @@ impl AloneRun {
     }
 }
 
-fn one_core_system(bench: &Benchmark, sys_cfg: &SystemConfig, seed: u64) -> System {
-    let mut cfg = sys_cfg.clone();
-    cfg.set_num_cores(1);
-    let w = bench.instantiate(cfg.llc.size_bytes, 1 << 36, seed);
-    System::new(cfg, vec![Box::new(w) as Box<dyn Workload + Send>])
-}
-
 /// Runs `bench` alone with the given prefetcher state (and optional CAT
 /// way restriction) and measures it.
 pub fn run_alone(
@@ -90,7 +83,8 @@ pub fn run_alone_keep(
     prefetch_on: bool,
     ways: Option<u32>,
 ) -> (AloneRun, System) {
-    let mut sys = one_core_system(bench, sys_cfg, 7);
+    let mut sys =
+        alone_system(sys_cfg, |llc, base, seed| Box::new(bench.instantiate(llc, base, seed)));
     sys.set_prefetching(0, prefetch_on);
     if let Some(w) = ways {
         sys.set_clos_mask(1, contiguous_mask(0, w)).expect("way mask");

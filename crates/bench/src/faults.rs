@@ -21,7 +21,7 @@ use crate::checkpoint::{self, CellCodec, Checkpoint};
 use crate::json::Json;
 use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
-use cmm_core::experiment::{run_mix_with_faults, ExperimentConfig};
+use cmm_core::experiment::{run_mix_cell, ExperimentConfig, MixOptions, WarmupPool};
 use cmm_core::fault::FaultConfig;
 use cmm_core::json::Lossless;
 use cmm_core::policy::Mechanism;
@@ -125,8 +125,9 @@ impl Leg {
 
 /// Runs one leg panic-isolated and (optionally) checkpointed.
 /// `fault_seed` seeds the fault schedule (workload construction stays on
-/// `seed`, so the same PrefAgg mix runs at every rate); a failing rate
-/// surfaces in the `Err` list only after every sibling rate completed.
+/// `seed`, so the same PrefAgg mix runs at every rate, and every rate
+/// shares one pooled warm-up); a failing rate surfaces in the `Err` list
+/// only after every sibling rate completed.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_resumable(
     leg: &Leg,
@@ -140,6 +141,7 @@ pub fn sweep_resumable(
 ) -> Result<Vec<FaultCell>, Vec<CellFailure>> {
     let mix = build_mixes(seed, 1).remove(1); // a PrefAgg mix
     let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
+    let pool = WarmupPool::new();
     run_cells(
         &RATES,
         jobs,
@@ -148,8 +150,9 @@ pub fn sweep_resumable(
         |_, &rate| leg.cell_label(rate),
         |_, &rate| {
             log.cell(&format!("{}: rate {rate:.2}", leg.prefix), || {
-                let r =
-                    run_mix_with_faults(&mix, leg.mechanism, &cfg, &(leg.faults)(fault_seed, rate));
+                let faults = Some((leg.faults)(fault_seed, rate));
+                let opts = MixOptions { faults, ..MixOptions::default() };
+                let r = run_mix_cell(Some(&pool), &mix, leg.mechanism, &cfg, opts);
                 FaultCell {
                     rate,
                     hm_ipc: cmm_metrics::hm_ipc(&r.ipcs),

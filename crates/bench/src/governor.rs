@@ -18,7 +18,7 @@ use crate::checkpoint::{self, CellCodec, Checkpoint};
 use crate::json::Json;
 use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
-use cmm_core::experiment::{run_mix_governed, run_mix_with_faults, ExperimentConfig};
+use cmm_core::experiment::{run_mix_cell, ExperimentConfig, MixOptions, WarmupPool};
 use cmm_core::fault::FaultConfig;
 use cmm_core::governor::GovernorConfig;
 use cmm_core::json::Lossless;
@@ -117,7 +117,8 @@ impl CellCodec for GovCell {
 /// Runs the paired sweep panic-isolated and (optionally) checkpointed:
 /// for each rate a bare-CBP cell and a governed-CBP cell, adjacent in
 /// output order. `fault_seed` seeds both the fault schedule and the
-/// governor's jitter stream; workload construction stays on `seed`.
+/// governor's jitter stream; workload construction stays on `seed`, so
+/// every cell shares one pooled warm-up.
 pub fn sweep_resumable(
     quick: bool,
     seed: u64,
@@ -130,6 +131,7 @@ pub fn sweep_resumable(
     let mix = build_mixes(seed, 1).remove(1); // a PrefAgg mix
     let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
     let items: Vec<(f64, bool)> = RATES.iter().flat_map(|&r| [(r, false), (r, true)]).collect();
+    let pool = WarmupPool::new();
     run_cells(
         &items,
         jobs,
@@ -138,18 +140,12 @@ pub fn sweep_resumable(
         |_, &(rate, governed)| cell_label(rate, governed),
         |_, &(rate, governed)| {
             log.cell(&cell_label(rate, governed), || {
-                let faults = fault_config(fault_seed, rate);
-                let r = if governed {
-                    run_mix_governed(
-                        &mix,
-                        Mechanism::Cbp,
-                        &cfg,
-                        &faults,
-                        GovernorConfig::new(fault_seed),
-                    )
-                } else {
-                    run_mix_with_faults(&mix, Mechanism::Cbp, &cfg, &faults)
+                let opts = MixOptions {
+                    faults: Some(fault_config(fault_seed, rate)),
+                    governor: governed.then(|| GovernorConfig::new(fault_seed)),
+                    learner: None,
                 };
+                let r = run_mix_cell(Some(&pool), &mix, Mechanism::Cbp, &cfg, opts);
                 GovCell {
                     rate,
                     governed,

@@ -27,15 +27,16 @@
 use crate::checkpoint::Checkpoint;
 use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
-use cmm_core::experiment::{run_mix, run_mix_learned, ExperimentConfig, MixResult};
+use cmm_core::experiment::{
+    alone_system, run_mix_cell, ExperimentConfig, MixOptions, MixResult, WarmupPool,
+};
 use cmm_core::learned::{self, Learner, RlPolicy};
 use cmm_core::policy::Mechanism;
 use cmm_core::telemetry::EpochRecord;
 use cmm_learn::features::N_FEATURES;
 use cmm_learn::model::Model;
 use cmm_sim::msr;
-use cmm_sim::System;
-use cmm_workloads::{build_mixes, spec, Slot};
+use cmm_workloads::{build_mixes, spec};
 
 /// The evaluation's mechanism roster: the uncontrolled baseline, the
 /// paper's best coordinated mechanism, the three-resource search, and the
@@ -78,18 +79,16 @@ pub struct TrainReport {
 }
 
 /// Builds the training corpus and fits the phase classifier. Fully
-/// deterministic: run-alone machines use the same instantiation constants
-/// as [`cmm_core::experiment::run_alone_ipc`], and gradient descent has
-/// no random state.
+/// deterministic: each workload runs on its
+/// [`cmm_core::experiment::alone_system`], and gradient descent has no
+/// random state.
 pub fn train_model(quick: bool) -> TrainReport {
     let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::default() };
     let mut samples: Vec<([f64; N_FEATURES], usize)> = Vec::new();
     let mut rows = Vec::new();
     for b in spec::roster() {
-        let mut sys_cfg = cfg.sys.clone();
-        sys_cfg.set_num_cores(1);
-        let w = Slot::Bench(b).instantiate(sys_cfg.llc.size_bytes, 1 << 36, 7);
-        let mut sys = System::new(sys_cfg, vec![w]);
+        let mut sys =
+            alone_system(&cfg.sys, |llc, base, seed| Box::new(b.instantiate(llc, base, seed)));
         sys.run(cfg.warmup_cycles.max(1));
         for window in 0..TRAIN_WINDOWS {
             // The feature vector comes from the prefetch-on segment —
@@ -146,7 +145,8 @@ pub fn cell_label(mix: &str, mechanism: Mechanism) -> String {
 /// (optionally) checkpointed, with `cfg`'s durations (the determinism
 /// tests use deliberately tiny windows). `seed` builds the standard mixes
 /// and seeds the RL policy's entropy stream; the grid order (per mix,
-/// [`MECHS`] order) is independent of `jobs`.
+/// [`MECHS`] order) is independent of `jobs`. Every cell of a mix shares
+/// one pooled warm-up.
 pub fn evaluate_resumable(
     cfg: &ExperimentConfig,
     seed: u64,
@@ -159,6 +159,7 @@ pub fn evaluate_resumable(
     let mixes = build_mixes(seed, 1);
     let items: Vec<(cmm_workloads::Mix, Mechanism)> =
         mixes.iter().flat_map(|m| MECHS.iter().map(move |&mech| (m.clone(), mech))).collect();
+    let pool = WarmupPool::new();
     run_cells(
         &items,
         jobs,
@@ -166,20 +167,16 @@ pub fn evaluate_resumable(
         ckpt,
         |_, (mix, mech)| cell_label(&mix.name, *mech),
         |_, (mix, mech)| {
-            log.cell(&cell_label(&mix.name, *mech), || match mech {
-                Mechanism::MlSel => run_mix_learned(
-                    mix,
-                    *mech,
-                    cfg,
-                    Some(Learner::Ml { model: model.clone(), floor: CONFIDENCE_FLOOR }),
-                ),
-                Mechanism::RlCbp => run_mix_learned(
-                    mix,
-                    *mech,
-                    cfg,
-                    Some(Learner::Rl(RlPolicy::new(seed, RL_EPSILON))),
-                ),
-                _ => run_mix(mix, *mech, cfg),
+            log.cell(&cell_label(&mix.name, *mech), || {
+                let learner = match mech {
+                    Mechanism::MlSel => {
+                        Some(Learner::Ml { model: model.clone(), floor: CONFIDENCE_FLOOR })
+                    }
+                    Mechanism::RlCbp => Some(Learner::Rl(RlPolicy::new(seed, RL_EPSILON))),
+                    _ => None,
+                };
+                let opts = MixOptions { learner, ..MixOptions::default() };
+                run_mix_cell(Some(&pool), mix, *mech, cfg, opts)
             })
         },
     )
@@ -411,6 +408,7 @@ pub fn journal_cells(cells: Vec<MixResult>) -> Vec<(String, Vec<EpochRecord>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmm_core::experiment::{run_mix, run_mix_learned};
 
     fn tiny_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::quick();

@@ -29,14 +29,20 @@
 //! ```
 //!
 //! `cells` counts independent simulation runs (one `System` each);
-//! `sim_cycles` counts simulated core-cycles (machine cycles × cores,
-//! including warm-up), so `sim_cycles_per_s` is comparable across targets
-//! with different machine widths.
+//! `sim_cycles` counts the core-cycles (machine cycles × cores, warm-up
+//! included) the target actually simulated, read off
+//! [`cmm_sim::simulated_core_cycles`] around it, so `sim_cycles_per_s` is
+//! comparable across targets with different machine widths. A warm-up
+//! restored from a `WarmupPool` and a cell spliced from a `--resume`
+//! checkpoint count 0: they simulate nothing. At `--jobs > 1` two cells
+//! may race to warm the same mix, and both warm-ups count, so a pooled
+//! target's count can vary with `--jobs`.
 
 use std::path::Path;
 use std::time::Instant;
 
 use cmm_core::json::{escape, Fixed6};
+use cmm_sim::simulated_core_cycles;
 
 /// Timing and volume of one completed repro target.
 #[derive(Debug, Clone)]
@@ -47,7 +53,8 @@ pub struct TargetStats {
     pub wall_s: f64,
     /// Independent simulation runs executed.
     pub cells: u64,
-    /// Simulated core-cycles across those runs (including warm-up).
+    /// Core-cycles actually simulated while producing the target
+    /// (including warm-up; a restored warm-up or spliced cell counts 0).
     pub sim_cycles: u64,
 }
 
@@ -66,22 +73,16 @@ impl BenchLog {
         BenchLog { start: Instant::now(), jobs, quick, targets: Vec::new() }
     }
 
-    /// Runs `work` and records it as target `name` with the given work
-    /// volume. Returns `work`'s result.
-    pub fn measure<R>(
-        &mut self,
-        name: &str,
-        cells: u64,
-        sim_cycles: u64,
-        work: impl FnOnce() -> R,
-    ) -> R {
-        let t0 = Instant::now();
+    /// Runs `work` and records it as target `name` of `cells` simulation
+    /// runs, with the core-cycles it simulated. Returns `work`'s result.
+    pub fn measure<R>(&mut self, name: &str, cells: u64, work: impl FnOnce() -> R) -> R {
+        let (t0, c0) = (Instant::now(), simulated_core_cycles());
         let r = work();
         self.targets.push(TargetStats {
             name: name.to_string(),
             wall_s: t0.elapsed().as_secs_f64(),
             cells,
-            sim_cycles,
+            sim_cycles: simulated_core_cycles() - c0,
         });
         r
     }
@@ -135,7 +136,15 @@ mod tests {
     #[test]
     fn json_contains_measured_targets() {
         let mut log = BenchLog::new(4, true);
-        let out = log.measure("table1", 14, 70_000_000, || 99u32);
+        let out = log.measure("table1", 14, || {
+            let b = &cmm_workloads::spec::roster()[0];
+            let mut sys = cmm_core::experiment::alone_system(
+                &cmm_sim::SystemConfig::scaled(1),
+                |llc, base, seed| Box::new(b.instantiate(llc, base, seed)),
+            );
+            sys.run(20_000);
+            99u32
+        });
         assert_eq!(out, 99);
         let j = log.to_json();
         assert!(j.contains("\"schema\": \"cmm-bench-sim/1\""));
@@ -143,8 +152,14 @@ mod tests {
         assert!(j.contains("\"quick\": true"));
         assert!(j.contains("\"name\": \"table1\""));
         assert!(j.contains("\"cells\": 14"));
-        assert!(j.contains("\"sim_cycles\": 70000000"));
         assert!(j.contains("\"cells_per_s\""));
+        // Other tests of this binary simulate concurrently and count too,
+        // so only a lower bound is exact here (the exact count is pinned
+        // by the single-test `sim_cycles` integration binary).
+        let doc = crate::json::parse(&j).expect("valid JSON");
+        let targets = doc.get("targets").and_then(crate::json::Json::as_array).unwrap();
+        let cycles = targets[0].get("sim_cycles").and_then(crate::json::Json::as_u64).unwrap();
+        assert!(cycles >= 20_000, "the work's own 20000 core-cycles must count, got {cycles}");
     }
 
     #[test]
@@ -159,7 +174,7 @@ mod tests {
         // The written document must stay readable by crate::json — the
         // same path `repro bench-compare` takes.
         let mut log = BenchLog::new(2, true);
-        log.measure("fig\"odd\"", 7, 1_000_000, || ());
+        log.measure("fig\"odd\"", 7, || ());
         let doc = crate::json::parse(&log.to_json()).expect("valid JSON");
         assert_eq!(doc.get("schema").and_then(crate::json::Json::as_str), Some("cmm-bench-sim/1"));
         assert_eq!(doc.get("jobs").and_then(crate::json::Json::as_u64), Some(2));

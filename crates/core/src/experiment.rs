@@ -16,8 +16,10 @@ use crate::policy::{ControllerConfig, Mechanism};
 use crate::substrate::Substrate;
 use cmm_sim::config::SystemConfig;
 use cmm_sim::pmu::Pmu;
-use cmm_sim::System;
+use cmm_sim::{System, Workload};
 use cmm_workloads::{Mix, Slot};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Everything needed to run one experiment.
 #[derive(Debug, Clone)]
@@ -87,65 +89,89 @@ pub struct MixResult {
     pub epochs: Vec<crate::telemetry::EpochRecord>,
 }
 
-impl MixResult {
-    /// Memory bandwidth in bytes/cycle over the measurement window.
-    pub fn bandwidth_bpc(&self, cycles: u64) -> f64 {
-        self.mem_bytes as f64 / cycles.max(1) as f64
-    }
+/// What a mix cell attaches beyond its mechanism (by default nothing).
+#[derive(Debug, Clone, Default)]
+pub struct MixOptions {
+    /// Fault schedule: the warmed machine runs wrapped in a
+    /// [`FaultySubstrate`] injecting it.
+    pub faults: Option<FaultConfig>,
+    /// Safety governor, attached with [`Driver::with_governor`].
+    pub governor: Option<GovernorConfig>,
+    /// Learned controller, attached with [`Driver::with_learner`].
+    pub learner: Option<Learner>,
 }
 
-fn build_system(mix: &Mix, cfg: &ExperimentConfig) -> System {
+/// The one mix warm-up: a machine for `mix` with `cfg`'s warm-up applied.
+/// With a `pool` it is restored from the mix's snapshot, or built, warmed
+/// and captured for the mix's later cells; without one it is built and
+/// warmed with no snapshot taken.
+pub fn warm_mix(pool: Option<&WarmupPool>, mix: &Mix, cfg: &ExperimentConfig) -> System {
+    if let Some(sys) = pool.and_then(|p| p.restore(mix, cfg)) {
+        return sys;
+    }
     let mut sys_cfg = cfg.sys.clone();
     sys_cfg.set_num_cores(mix.num_cores());
     let workloads = mix.instantiate(sys_cfg.llc.size_bytes);
-    System::new(sys_cfg, workloads)
+    let mut sys = System::new(sys_cfg, workloads);
+    if cfg.warmup_cycles > 0 {
+        sys.run(cfg.warmup_cycles);
+    }
+    // When two cells race to warm one mix, the first capture wins; the
+    // states are identical either way (warm-up is deterministic).
+    if let Some(p) = pool {
+        if let Entry::Vacant(v) = p.lock().snaps.entry(mix.name.clone()) {
+            v.insert(
+                sys.snapshot().map_or(WarmupEntry::Uncloneable, |s| WarmupEntry::Shared(s.into())),
+            );
+        }
+    }
+    sys
 }
 
-/// Runs `mix` on an already-built substrate under `mechanism` and reports
-/// the measurement-window statistics. The substrate must host the mix's
-/// workloads (see [`run_mix`] / [`run_mix_with_faults`] for the usual
-/// entry points).
+/// Runs `mix` under `mechanism` on a machine from [`warm_mix`] with `opts`
+/// attached, and reports the measurement-window statistics; every other
+/// mix runner is this with fixed options. Wrapping the warmed machine in
+/// a [`FaultySubstrate`] is exact, because `FaultySubstrate::run` only
+/// forwards; cells without faults run on the bare [`System`].
+pub fn run_mix_cell(
+    pool: Option<&WarmupPool>,
+    mix: &Mix,
+    mechanism: Mechanism,
+    cfg: &ExperimentConfig,
+    opts: MixOptions,
+) -> MixResult {
+    let MixOptions { faults, governor, learner } = opts;
+    let sys = warm_mix(pool, mix, cfg);
+    match faults {
+        Some(f) => {
+            run_mix_driver(FaultySubstrate::new(sys, f), mix, mechanism, cfg, governor, learner)
+        }
+        None => run_mix_driver(sys, mix, mechanism, cfg, governor, learner),
+    }
+}
+
+/// Runs the measurement window on a warmed substrate, under a driver with
+/// `governor` and `learner` attached.
 ///
 /// Measurement-window PMU reads go through the checked-read path
 /// ([`crate::backend::pmu_read_checked`]), so a corrupted boundary
 /// snapshot on a faulty substrate degrades to a re-read instead of
 /// poisoning the whole run's IPCs.
-pub fn run_mix_on<S: Substrate>(
-    mut sys: S,
-    mix: &Mix,
-    mechanism: Mechanism,
-    cfg: &ExperimentConfig,
-) -> MixResult {
-    // Warm-up outside the measurement window, uncontrolled. The driver is
-    // constructed afterwards but has no machine side effects, so warming
-    // before or after wrapping is indistinguishable.
-    if cfg.warmup_cycles > 0 {
-        sys.run(cfg.warmup_cycles);
-    }
-    run_mix_on_warmed(sys, mix, mechanism, cfg)
-}
-
-/// [`run_mix_on`] for a substrate that has already been warmed up (or that
-/// deliberately starts cold): runs only the measurement window. This is
-/// the restore path of warm-up sharing — see [`WarmupPool`].
-pub fn run_mix_on_warmed<S: Substrate>(
+fn run_mix_driver<S: Substrate>(
     sys: S,
     mix: &Mix,
     mechanism: Mechanism,
     cfg: &ExperimentConfig,
+    governor: Option<GovernorConfig>,
+    learner: Option<Learner>,
 ) -> MixResult {
-    run_mix_driver(Driver::new(sys, mechanism, cfg.ctrl.clone()), mix, mechanism, cfg)
-}
-
-/// Runs the measurement window of an already-constructed driver (warmed
-/// substrate). The seam [`run_mix_governed`] uses to attach a governor
-/// without duplicating the window bookkeeping.
-fn run_mix_driver<S: Substrate>(
-    mut driver: Driver<S>,
-    mix: &Mix,
-    mechanism: Mechanism,
-    cfg: &ExperimentConfig,
-) -> MixResult {
+    let mut driver = Driver::new(sys, mechanism, cfg.ctrl.clone());
+    if let Some(g) = governor {
+        driver = driver.with_governor(g);
+    }
+    if let Some(l) = learner {
+        driver = driver.with_learner(l);
+    }
     let mut window_log = Vec::new();
     let before = crate::backend::pmu_read_checked(driver.system_mut(), &mut window_log);
     let traffic_before: u64 =
@@ -174,37 +200,45 @@ fn run_mix_driver<S: Substrate>(
 /// Runs `mix` under `mechanism` for the configured duration and reports
 /// the measurement-window statistics.
 pub fn run_mix(mix: &Mix, mechanism: Mechanism, cfg: &ExperimentConfig) -> MixResult {
-    run_mix_on(build_system(mix, cfg), mix, mechanism, cfg)
+    run_mix_cell(None, mix, mechanism, cfg, MixOptions::default())
 }
 
-/// Shares warm-up simulation across the mechanism trials of each mix.
+/// Shares warm-up simulation across the cells of each mix.
 ///
 /// Warm-up runs uncontrolled — no mechanism programs an MSR before the
 /// measurement window — so the post-warm-up machine state depends only on
 /// the mix and the [`ExperimentConfig`]. The pool simulates that warm-up
 /// once per mix, captures it with [`System::snapshot`], and hands every
-/// subsequent trial of the same mix a restored copy: a `(mix, N
+/// subsequent cell of the same mix a restored copy: a `(mix, N
 /// mechanisms)` evaluation pays for one warm-up instead of `N`, with
 /// byte-identical results (a restored machine *is* the warmed machine).
 ///
-/// One pool serves one `ExperimentConfig`; snapshots are keyed by mix name
-/// only, so callers sweeping configs must use one pool per sweep point.
-/// Mixes whose workloads cannot be cloned (no
-/// [`cmm_sim::Workload::try_clone_box`] support) fall back to a fresh
-/// warm-up per trial, transparently.
+/// One pool serves one `(SystemConfig, warmup_cycles)`: snapshots are
+/// keyed by mix name only, so the pool records the pair of its first use
+/// and panics when a later cell brings another. Callers sweeping machine
+/// configs or warm-ups use one pool per sweep point. Mixes whose
+/// workloads cannot be cloned (no [`cmm_sim::Workload::try_clone_box`]
+/// support) fall back to a fresh warm-up per cell, transparently.
 #[derive(Default)]
 pub struct WarmupPool {
-    // Snapshots are only ever touched under the lock (restore() is a
-    // memcpy, negligible next to a trial), which keeps the pool `Sync`
-    // without demanding `Sync` workloads.
-    snaps: std::sync::Mutex<std::collections::HashMap<String, WarmupEntry>>,
+    // Only ever touched under the lock (restore() is a memcpy, negligible
+    // next to a cell), which keeps the pool `Sync` without demanding
+    // `Sync` workloads.
+    state: Mutex<PoolState>,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// The machine config and warm-up length of the pool's first use.
+    config: Option<(SystemConfig, u64)>,
+    snaps: HashMap<String, WarmupEntry>,
 }
 
 enum WarmupEntry {
-    /// Warm-up captured; every trial restores from here. Boxed so the
+    /// Warm-up captured; every cell restores from here. Boxed so the
     /// common `Uncloneable` probe doesn't pay the snapshot's footprint.
     Shared(Box<cmm_sim::SystemSnapshot>),
-    /// Workloads not cloneable: each trial re-warms from scratch.
+    /// Workloads not cloneable: each cell re-warms from scratch.
     Uncloneable,
 }
 
@@ -214,40 +248,29 @@ impl WarmupPool {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, std::collections::HashMap<String, WarmupEntry>> {
-        // A panicking trial must not wedge every later trial of the run on
-        // a poisoned lock; the map is always in a consistent state.
-        self.snaps.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // A panicking cell must not wedge every later cell of the run on
+        // a poisoned lock; the state is always consistent.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A machine for `mix` with warm-up already applied: restored from the
-    /// pooled snapshot when available, freshly built and warmed otherwise.
-    fn warmed_system(&self, mix: &Mix, cfg: &ExperimentConfig) -> System {
-        match self.lock().get(&mix.name) {
-            Some(WarmupEntry::Shared(snap)) => return snap.restore(),
-            Some(WarmupEntry::Uncloneable) | None => {}
+    /// A restored copy of `mix`'s warm machine, if captured. Panics when
+    /// `cfg`'s machine or warm-up differs from the pool's first use.
+    fn restore(&self, mix: &Mix, cfg: &ExperimentConfig) -> Option<System> {
+        let mut state = self.lock();
+        match &state.config {
+            Some((sys, warmup)) => assert!(
+                *sys == cfg.sys && *warmup == cfg.warmup_cycles,
+                "WarmupPool serves one (SystemConfig, warmup_cycles), but mix {} brings another \
+                 machine or warm-up than the pool's first use: use one pool per config",
+                mix.name
+            ),
+            None => state.config = Some((cfg.sys.clone(), cfg.warmup_cycles)),
         }
-        // Warm up with the lock released (it is the expensive part). Two
-        // trials of one mix may race here; the first insert wins and the
-        // states are identical either way (warm-up is deterministic).
-        let mut sys = build_system(mix, cfg);
-        if cfg.warmup_cycles > 0 {
-            sys.run(cfg.warmup_cycles);
+        match state.snaps.get(&mix.name) {
+            Some(WarmupEntry::Shared(snap)) => Some(snap.restore()),
+            Some(WarmupEntry::Uncloneable) | None => None,
         }
-        let mut guard = self.lock();
-        if let std::collections::hash_map::Entry::Vacant(v) = guard.entry(mix.name.clone()) {
-            v.insert(match sys.snapshot() {
-                Some(snap) => WarmupEntry::Shared(Box::new(snap)),
-                None => WarmupEntry::Uncloneable,
-            });
-        }
-        sys
-    }
-
-    /// Drops the pooled warm-up state of `mix` (frees its snapshot once
-    /// all the mix's trials have completed).
-    pub fn evict(&self, mix_name: &str) {
-        self.lock().remove(mix_name);
     }
 }
 
@@ -259,20 +282,19 @@ pub fn run_mix_pooled(
     mechanism: Mechanism,
     cfg: &ExperimentConfig,
 ) -> MixResult {
-    run_mix_on_warmed(pool.warmed_system(mix, cfg), mix, mechanism, cfg)
+    run_mix_cell(Some(pool), mix, mechanism, cfg, MixOptions::default())
 }
 
 /// Like [`run_mix`], but over a [`FaultySubstrate`] injecting the given
-/// fault schedule — the `repro faults` sweep and the fault-injection
-/// integration tests run through this.
+/// fault schedule.
 pub fn run_mix_with_faults(
     mix: &Mix,
     mechanism: Mechanism,
     cfg: &ExperimentConfig,
     faults: &FaultConfig,
 ) -> MixResult {
-    let sys = FaultySubstrate::new(build_system(mix, cfg), faults.clone());
-    run_mix_on(sys, mix, mechanism, cfg)
+    let opts = MixOptions { faults: Some(faults.clone()), ..MixOptions::default() };
+    run_mix_cell(None, mix, mechanism, cfg, opts)
 }
 
 /// [`run_mix_with_faults`] with the safety governor attached to the
@@ -287,12 +309,8 @@ pub fn run_mix_governed(
     faults: &FaultConfig,
     gov: GovernorConfig,
 ) -> MixResult {
-    let mut sys = FaultySubstrate::new(build_system(mix, cfg), faults.clone());
-    if cfg.warmup_cycles > 0 {
-        sys.run(cfg.warmup_cycles);
-    }
-    let driver = Driver::new(sys, mechanism, cfg.ctrl.clone()).with_governor(gov);
-    run_mix_driver(driver, mix, mechanism, cfg)
+    let opts = MixOptions { faults: Some(faults.clone()), governor: Some(gov), learner: None };
+    run_mix_cell(None, mix, mechanism, cfg, opts)
 }
 
 /// [`run_mix`] with a learned controller attached to the driver: the
@@ -307,15 +325,21 @@ pub fn run_mix_learned(
     cfg: &ExperimentConfig,
     learner: Option<Learner>,
 ) -> MixResult {
-    let mut sys = build_system(mix, cfg);
-    if cfg.warmup_cycles > 0 {
-        sys.run(cfg.warmup_cycles);
-    }
-    let mut driver = Driver::new(sys, mechanism, cfg.ctrl.clone());
-    if let Some(l) = learner {
-        driver = driver.with_learner(l);
-    }
-    run_mix_driver(driver, mix, mechanism, cfg)
+    run_mix_cell(None, mix, mechanism, cfg, MixOptions { learner, ..MixOptions::default() })
+}
+
+/// The one-core machine of every run-alone measurement: `sys` narrowed to
+/// one core, running the workload `instantiate(llc_bytes, base, seed)`
+/// builds at a fixed base address and seed, so a workload's alone machine
+/// is the same in every target.
+pub fn alone_system(
+    sys: &SystemConfig,
+    instantiate: impl FnOnce(u64, u64, u64) -> Box<dyn Workload + Send>,
+) -> System {
+    let mut sys_cfg = sys.clone();
+    sys_cfg.set_num_cores(1);
+    let w = instantiate(sys_cfg.llc.size_bytes, 1 << 36, 7);
+    System::new(sys_cfg, vec![w])
 }
 
 /// Measures a workload's run-alone IPC: a single-core machine with the
@@ -323,10 +347,7 @@ pub fn run_mix_learned(
 /// Accepts any [`Slot`], so trace-driven cores get alone-IPCs from the
 /// same machine as synthetic ones.
 pub fn run_alone_ipc(slot: &Slot, cfg: &ExperimentConfig) -> f64 {
-    let mut sys_cfg = cfg.sys.clone();
-    sys_cfg.set_num_cores(1);
-    let w = slot.instantiate(sys_cfg.llc.size_bytes, 1 << 36, 7);
-    let mut sys = System::new(sys_cfg, vec![w]);
+    let mut sys = alone_system(&cfg.sys, |llc, base, seed| slot.instantiate(llc, base, seed));
     sys.run(cfg.warmup_cycles.max(1));
     let before = sys.pmu(0);
     sys.run(cfg.alone_cycles);
@@ -336,7 +357,7 @@ pub fn run_alone_ipc(slot: &Slot, cfg: &ExperimentConfig) -> f64 {
 /// Run-alone IPCs for every distinct workload in `mix`, in core order,
 /// with memoisation across repeated slots (keyed by slot name).
 pub fn run_alone_ipcs(mix: &Mix, cfg: &ExperimentConfig) -> Vec<f64> {
-    let mut cache: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
+    let mut cache: HashMap<String, f64> = HashMap::new();
     mix.slots
         .iter()
         .map(|s| *cache.entry(s.name().to_string()).or_insert_with(|| run_alone_ipc(s, cfg)))
@@ -386,6 +407,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn tiny_cfg() -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::quick();
+        cfg.warmup_cycles = 200_000;
+        cfg.total_cycles = 500_000;
+        cfg
+    }
+
+    #[test]
+    fn pooled_cells_match_one_off_runs() {
+        let mix = &build_mixes(3, 1)[1]; // a PrefAgg mix
+        let cfg = tiny_cfg();
+        let pool = WarmupPool::new();
+        // The Baseline cell warms the mix; every later cell restores it.
+        run_mix_pooled(&pool, mix, Mechanism::Baseline, &cfg);
+        assert!(matches!(pool.lock().snaps.get(&mix.name), Some(WarmupEntry::Shared(_))));
+        let mut faults = FaultConfig::uniform(7, 0.25);
+        faults.clos_limit = Some(1);
+        let rl = || Some(Learner::Rl(crate::learned::RlPolicy::new(7, 0.1)));
+        let cases = [
+            (
+                "Baseline",
+                Mechanism::Baseline,
+                MixOptions::default(),
+                run_mix(mix, Mechanism::Baseline, &cfg),
+            ),
+            (
+                "faulty CBP",
+                Mechanism::Cbp,
+                MixOptions { faults: Some(faults.clone()), ..MixOptions::default() },
+                run_mix_with_faults(mix, Mechanism::Cbp, &cfg, &faults),
+            ),
+            (
+                "governed CBP",
+                Mechanism::Cbp,
+                MixOptions {
+                    faults: Some(faults.clone()),
+                    governor: Some(GovernorConfig::new(7)),
+                    learner: None,
+                },
+                run_mix_governed(mix, Mechanism::Cbp, &cfg, &faults, GovernorConfig::new(7)),
+            ),
+            (
+                "RL-CBP",
+                Mechanism::RlCbp,
+                MixOptions { learner: rl(), ..MixOptions::default() },
+                run_mix_learned(mix, Mechanism::RlCbp, &cfg, rl()),
+            ),
+        ];
+        let lines =
+            |r: &MixResult| r.epochs.iter().map(|e| e.to_json_line(&mix.name)).collect::<Vec<_>>();
+        for (what, mech, opts, one_off) in cases {
+            let pooled = run_mix_cell(Some(&pool), mix, mech, &cfg, opts);
+            assert_eq!(pooled.ipcs, one_off.ipcs, "{what}: ipcs");
+            assert_eq!(pooled.pmu, one_off.pmu, "{what}: pmu");
+            assert_eq!(lines(&pooled), lines(&one_off), "{what}: epoch records");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "WarmupPool serves one")]
+    fn pool_refuses_a_second_warmup_config() {
+        let mix = &build_mixes(3, 1)[0];
+        let mut cfg = tiny_cfg();
+        cfg.warmup_cycles = 20_000;
+        cfg.total_cycles = 20_000;
+        let pool = WarmupPool::new();
+        run_mix_pooled(&pool, mix, Mechanism::Baseline, &cfg);
+        // Keyed by mix name only, the pool would hand back the 20k-cycle
+        // machine for a 40k-cycle warm-up.
+        cfg.warmup_cycles = 40_000;
+        run_mix_pooled(&pool, mix, Mechanism::Baseline, &cfg);
     }
 
     #[test]

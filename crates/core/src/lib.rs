@@ -56,8 +56,8 @@ pub mod prelude {
     pub use crate::backend::{partition_ways, PartitionPlan};
     pub use crate::driver::Driver;
     pub use crate::experiment::{
-        run_alone_ipc, run_mix, run_mix_governed, run_mix_learned, run_mix_pooled,
-        ExperimentConfig, MixResult, WarmupPool,
+        run_alone_ipc, run_mix, run_mix_cell, run_mix_governed, run_mix_learned, run_mix_pooled,
+        ExperimentConfig, MixOptions, MixResult, WarmupPool,
     };
     pub use crate::fault::{FaultConfig, FaultySubstrate};
     pub use crate::frontend::{detect_agg, metrics, DetectorConfig, Metrics};

@@ -85,5 +85,5 @@ pub mod prelude {
 }
 
 pub use config::SystemConfig;
-pub use system::{System, SystemSnapshot};
+pub use system::{simulated_core_cycles, System, SystemSnapshot};
 pub use workload::{Op, Workload};

@@ -19,6 +19,16 @@ use crate::msr::{
 use crate::pmu::Pmu;
 use crate::presence::Presence;
 use crate::workload::Workload;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static SIMULATED_CORE_CYCLES: AtomicU64 = AtomicU64::new(0);
+
+/// Core-cycles (machine cycles × cores) every [`System::run`] in this
+/// process has simulated so far; a [`SystemSnapshot`] restore adds none.
+/// Measure a span of work by the difference of two reads.
+pub fn simulated_core_cycles() -> u64 {
+    SIMULATED_CORE_CYCLES.load(Ordering::Relaxed)
+}
 
 /// Errors from the WRMSR/RDMSR emulation surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +186,7 @@ impl System {
 
     /// Advances the whole machine by `cycles` cycles.
     pub fn run(&mut self, cycles: u64) {
+        SIMULATED_CORE_CYCLES.fetch_add(cycles * self.cores.len() as u64, Ordering::Relaxed);
         let target = self.now + cycles;
         let cps = self.cfg.topology.cores_per_socket;
         while self.now < target {

@@ -61,6 +61,15 @@ smoke_repro() {
     cmp "$tmp/journal.jobs1.jsonl" "$tmp/journal.jobsN.jsonl"
     grep -q '"schema": "cmm-bench-sim/1"' "$tmp/BENCH_sim.json"
     grep -q '"cells_per_s"' "$tmp/BENCH_sim.json"
+    # sim_cycles counts what was actually simulated; table1 pools no
+    # warm-up, so its count is the same at any job count.
+    local c1 cN
+    c1=$(grep -o '"sim_cycles": [0-9]*' "$tmp/BENCH_sim.1.json")
+    cN=$(grep -o '"sim_cycles": [0-9]*' "$tmp/BENCH_sim.json")
+    [ -n "$c1" ] && [ "$c1" = "$cN" ] || {
+        echo "table1 sim_cycles differ across job counts: $c1 vs $cN" >&2
+        return 1
+    }
     # The journal carries real controller decisions.
     head -1 "$tmp/journal.jobs1.jsonl" | grep -q '"schema":"cmm-journal/2"'
     grep -q '"kind":"epoch"' "$tmp/journal.jobs1.jsonl"
