@@ -43,10 +43,10 @@ fn epoch_path(c: &mut Criterion) {
 
     g.bench_function("pt_profile", |b| {
         b.iter_batched(
-            warm_system,
-            |mut sys| {
-                cmm_core::backend::pt::profile(&mut sys, &ctrl, &det, &mut Vec::new());
-                sys
+            || Driver::new(warm_system(), Mechanism::Pt, ctrl.clone()),
+            |mut drv| {
+                drv.epoch();
+                drv
             },
             criterion::BatchSize::LargeInput,
         );
@@ -58,7 +58,7 @@ fn epoch_path(c: &mut Criterion) {
             |mut sys| {
                 let ways = sys.config().llc.ways;
                 let plan = PartitionPlan::flat(sys.num_cores(), ways);
-                plan.apply(&mut sys, &mut Vec::new()).unwrap();
+                plan.apply_at(&mut sys, 0, &mut Vec::new()).unwrap();
                 sys
             },
             criterion::BatchSize::LargeInput,

@@ -187,10 +187,19 @@ struct Args {
     out: Option<PathBuf>,
 }
 
-/// The value after a flag, parsed; a missing or malformed one panics
-/// with `what`.
+/// Refuses the command line: one line on stderr, exit 2.
+fn refuse(reason: &str) -> ! {
+    eprintln!("{reason}");
+    std::process::exit(2)
+}
+
+/// The value after a flag, parsed; a missing or malformed one is refused
+/// with `what`, which names the flag.
 fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, what: &str) -> T {
-    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("{what}"))
+    match it.next() {
+        Some(v) => v.parse().unwrap_or_else(|_| refuse(&format!("{what} (got {v:?})"))),
+        None => refuse(what),
+    }
 }
 
 fn parse_args() -> Args {
@@ -227,7 +236,12 @@ fn parse_args() -> Args {
             "--csv" => a.csv = Some(value(it, "--csv needs a directory")),
             "--bench-json" => a.bench_json = value(it, "--bench-json needs a path"),
             "--journal" => a.journal = value(it, "--journal needs a path"),
-            "--noise" => a.noise = value(it, "--noise needs a fraction"),
+            "--noise" => {
+                a.noise = value(it, "--noise needs a fraction");
+                if !a.noise.is_finite() || a.noise < 0.0 {
+                    refuse(&format!("--noise needs a non-negative fraction (got {})", a.noise));
+                }
+            }
             "--scps-floor" => a.scps_floor = Some(value(it, "--scps-floor needs sim-cycles/s")),
             "--mixes" => a.mixes = Some(value(it, "--mixes needs a number")),
             "--seed" => a.seed = value(it, "--seed needs a number"),
@@ -249,12 +263,9 @@ fn parse_args() -> Args {
                     Some("transient") => ChaosMode::Transient,
                     Some("persistent") => ChaosMode::Persistent,
                     Some("hang") => ChaosMode::Hang,
-                    other => {
-                        eprintln!(
-                            "--chaos-mode needs 'transient', 'persistent' or 'hang' (got {other:?})"
-                        );
-                        std::process::exit(2);
-                    }
+                    other => refuse(&format!(
+                        "--chaos-mode needs 'transient', 'persistent' or 'hang' (got {other:?})"
+                    )),
                 }
             }
             "--chaos-kill" => a.chaos_kill = Some(value(it, "--chaos-kill needs a number")),
@@ -262,10 +273,7 @@ fn parse_args() -> Args {
             "--out" => a.out = Some(value(it, "--out needs a path")),
             "--topology" => match it.next().unwrap_or_default().parse::<Topology>() {
                 Ok(t) => a.topology = Some(t),
-                Err(e) => {
-                    eprintln!("--topology: {e}");
-                    std::process::exit(2);
-                }
+                Err(e) => refuse(&format!("--topology: {e}")),
             },
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -275,10 +283,7 @@ fn parse_args() -> Args {
                 None => a.target = Some(t.to_string()),
                 Some(_) => a.operands.push(t.to_string()),
             },
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => refuse(&format!("unknown flag {other}")),
         }
     }
     a

@@ -1,8 +1,9 @@
 //! `repro` refuses every flag a target does not honour: a multi-socket
 //! `--topology` on a target that runs (part of its work) single-socket,
 //! and `--resume`, `--trace-dir`, `--csv` or `--model` on a target that
-//! would silently ignore them. Each refusal exits 2 with a one-line
-//! reason before loading, simulating or writing anything.
+//! would silently ignore them. A flag value that is missing or malformed
+//! is refused the same way. Each refusal exits 2 with a one-line reason
+//! before loading, simulating or writing anything.
 
 use std::process::Command;
 
@@ -65,6 +66,38 @@ fn targets_refuse_the_flags_they_do_not_honour() {
         assert!(!dir.join("refused.ckpt").exists(), "{case} wrote a checkpoint sidecar");
         assert!(!dir.join("csv-out").exists(), "{case} wrote CSV output");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `(command line, the flag whose value is refused)`.
+const BAD_VALUES: &[(&[&str], &str)] = &[
+    (&["table1", "--jobs", "abc"], "--jobs"),
+    (&["table1", "--seed"], "--seed"),
+    (&["fig7", "--mixes", "-1"], "--mixes"),
+    (&["faults", "--fault-seed", "1.5"], "--fault-seed"),
+    (&["bench-compare", "a.json", "b.json", "--noise", "-1"], "--noise"),
+    (&["bench-compare", "a.json", "b.json", "--noise", "NaN"], "--noise"),
+    (&["bench-compare", "a.json", "b.json", "--noise", "inf"], "--noise"),
+];
+
+#[test]
+fn malformed_flag_values_are_refused_not_panicked_on() {
+    let dir = std::env::temp_dir().join(format!("cmm-bad-value-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for &(args, flag) in BAD_VALUES {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro binary runs");
+        let case = format!("{args:?}");
+        assert_eq!(out.status.code(), Some(2), "{case} must be refused");
+        assert!(out.stdout.is_empty(), "{case} printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{case}: one-line reason, got {stderr}");
+        assert!(stderr.contains(flag), "{case}: the reason names the flag: {stderr}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "a refused run wrote a file");
     std::fs::remove_dir_all(&dir).ok();
 }
 

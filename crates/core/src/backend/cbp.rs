@@ -4,22 +4,23 @@
 //! memory-bandwidth partitioning: after the prefetch × CAT plan is in
 //! force, a third search assigns Intel MBA-style delay levels to the
 //! aggressor throttle groups. This module holds the bandwidth half of
-//! that mechanism — the delay-level search and the availability probe —
+//! that mechanism — the delay levels and the availability probe —
 //! while [`crate::driver::Driver`] composes it with the existing CMM-a
 //! plan (the hierarchical prefetch → CAT → MBA search order) or runs it
 //! stand-alone as the bandwidth-only `MBA` ablation.
 //!
-//! The search mirrors [`super::search_throttle_levels_in`]: every
-//! combination of [`MBA_LEVELS`] across the throttle groups, one sampling
-//! interval each, ranked by domain-local `hm_ipc`, with the same
-//! `kept_last_good` retreat when the winner cannot be programmed. Trials
-//! carry both the prefetch MSR image in force (fixed during this search)
-//! and the per-core MBA level image, so the journal shows the joint
-//! configuration each trial actually ran.
+//! The search is the back-end's one trial search, [`super::search_in`]
+//! with [`super::Knob::Mba`]: every combination of [`MBA_LEVELS`] across
+//! the throttle groups, one sampling interval each, ranked by domain-local
+//! `hm_ipc`, with the same `kept_last_good` retreat as the prefetch
+//! searches when the winner cannot be programmed. Trials carry both the
+//! prefetch MSR image in force (fixed during this search) and the
+//! per-core MBA level image, so the journal shows the joint configuration
+//! each trial actually ran.
 
-use super::{sample_hm_ipc, sample_logged, write_msr_logged};
+use super::write_msr_logged;
 use crate::substrate::Substrate;
-use crate::telemetry::{FaultRecord, Trial};
+use crate::telemetry::FaultRecord;
 use cmm_sim::msr::MSR_MBA_THROTTLE;
 
 /// The MBA delay levels the search considers per throttle group:
@@ -27,20 +28,6 @@ use cmm_sim::msr::MSR_MBA_THROTTLE;
 /// request rate). Three levels keeps the combination count at
 /// `3^groups ≤ 27` — the same budget as the PT-fine engine search.
 pub const MBA_LEVELS: [u64; 3] = [0, 40, 90];
-
-/// Outcome of an MBA delay-level search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MbaSearch {
-    /// The winning per-core delay-level image (already applied),
-    /// domain-local (`len` entries).
-    pub best: Vec<u64>,
-    /// Cycles spent on trial intervals.
-    pub cycles: u64,
-    /// Every trialed configuration with its `hm_ipc`, in trial order.
-    pub trials: Vec<Trial>,
-    /// Index of the winner in `trials`; `None` when no trial ran.
-    pub winner: Option<usize>,
-}
 
 /// Probes whether the substrate exposes the MBA throttle register at all:
 /// writing the power-on level 0 must succeed. On parts without MBA (or
@@ -51,96 +38,14 @@ pub fn mba_available<S: Substrate>(sys: &mut S, anchor: usize, log: &mut Vec<Fau
     write_msr_logged(sys, anchor, MSR_MBA_THROTTLE, 0, log).is_ok()
 }
 
-/// Searches MBA delay-level combinations over `groups` of cores, scoped to
-/// the `len` cores starting at `base` (one CAT domain) — the bandwidth
-/// analogue of [`super::search_throttle_levels_in`], with the same
-/// domain-local conventions: `groups` hold global core ids within the
-/// range, trial `hm_ipc` is computed over the domain's cores only, and the
-/// returned image is domain-local. `pf_image` is the per-core prefetch MSR
-/// image in force throughout the search (embedded in each trial record so
-/// the journal shows the joint configuration).
-///
-/// Cores outside the groups stay unthrottled. Applies the winning image
-/// and returns it with the trial log; if applying the winner fails the
-/// search reverts to all-unthrottled (the power-on state every trial
-/// started from) and logs `kept_last_good`.
-#[allow(clippy::too_many_arguments)]
-pub fn search_mba_levels_in<S: Substrate>(
-    sys: &mut S,
-    groups: &[Vec<usize>],
-    levels: &[u64],
-    pf_image: &[u64],
-    sampling_interval: u64,
-    log: &mut Vec<FaultRecord>,
-    base: usize,
-    len: usize,
-) -> MbaSearch {
-    assert!(!levels.is_empty());
-    assert_eq!(pf_image.len(), len, "prefetch image must cover the domain");
-    let unthrottled = vec![0u64; len];
-    if groups.is_empty() {
-        for i in 0..len {
-            let _ = write_msr_logged(sys, base + i, MSR_MBA_THROTTLE, 0, log);
-        }
-        return MbaSearch { best: unthrottled, cycles: 0, trials: Vec::new(), winner: None };
-    }
-    let combos = levels.len().pow(groups.len() as u32);
-    let mut best = unthrottled.clone();
-    let mut best_hm = f64::NEG_INFINITY;
-    let mut winner = 0;
-    let mut spent = 0;
-    let mut trials = Vec::with_capacity(combos);
-    for combo in 0..combos {
-        let mut image = unthrottled.clone();
-        let mut c = combo;
-        for cores in groups {
-            let level = levels[c % levels.len()];
-            c /= levels.len();
-            for &core in cores {
-                image[core - base] = level;
-            }
-        }
-        for (i, &level) in image.iter().enumerate() {
-            let _ = write_msr_logged(sys, base + i, MSR_MBA_THROTTLE, level, log);
-        }
-        let deltas = sample_logged(sys, sampling_interval, log);
-        spent += sampling_interval;
-        let hm = sample_hm_ipc(&deltas[base..base + len]);
-        trials.push(Trial { msr_1a4: pf_image.to_vec(), mba: image.clone(), hm_ipc: hm });
-        if hm > best_hm {
-            best_hm = hm;
-            winner = trials.len() - 1;
-            best = image;
-        }
-    }
-    let before = log.len();
-    for (i, &level) in best.iter().enumerate() {
-        let _ = write_msr_logged(sys, base + i, MSR_MBA_THROTTLE, level, log);
-    }
-    if log.iter().skip(before).any(|f| f.action == "gave_up") {
-        // Same last-known-good retreat as the prefetch searches:
-        // all-unthrottled is the state every trial started from and the
-        // power-on default.
-        for i in 0..len {
-            let _ = write_msr_logged(sys, base + i, MSR_MBA_THROTTLE, 0, log);
-        }
-        log.push(FaultRecord {
-            cycle: sys.now(),
-            kind: "degraded",
-            core: None,
-            msr: None,
-            action: "kept_last_good",
-        });
-        return MbaSearch { best: unthrottled, cycles: spent, trials, winner: Some(winner) };
-    }
-    MbaSearch { best, cycles: spent, trials, winner: Some(winner) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::pt::ON_OFF;
+    use crate::backend::{search_in, Knob};
     use crate::fault::{FaultConfig, FaultySubstrate};
     use cmm_sim::config::SystemConfig;
+    use cmm_sim::msr::MSR_MISC_FEATURE_CONTROL;
     use cmm_sim::workload::Idle;
     use cmm_sim::System;
 
@@ -172,7 +77,7 @@ mod tests {
         let mut sys = machine(2);
         Substrate::set_mba_throttle(&mut sys, 0, 80).unwrap();
         let mut log = Vec::new();
-        let s = search_mba_levels_in(&mut sys, &[], &MBA_LEVELS, &[0, 0], 1_000, &mut log, 0, 2);
+        let s = search_in(&mut sys, Knob::Mba(&[0, 0]), &[], &MBA_LEVELS, 1_000, &mut log, 0, 2);
         assert!(s.trials.is_empty());
         assert_eq!(s.winner, None);
         assert_eq!(Substrate::mba_throttle(&sys, 0), 0);
@@ -180,18 +85,24 @@ mod tests {
 
     #[test]
     fn search_tries_every_level_combo_and_applies_the_winner() {
+        let groups = [vec![0], vec![1]];
+        // The prefetch knob over binary levels: off first, so group g is
+        // on exactly when bit g of the trial index is set.
         let mut sys = machine(2);
         let mut log = Vec::new();
-        let s = search_mba_levels_in(
-            &mut sys,
-            &[vec![0], vec![1]],
-            &MBA_LEVELS,
-            &[0, 0xF],
-            1_000,
-            &mut log,
-            0,
-            2,
-        );
+        let s = search_in(&mut sys, Knob::Prefetch, &groups, &ON_OFF, 1_000, &mut log, 0, 2);
+        let images: Vec<_> = s.trials.iter().map(|t| t.msr_1a4.clone()).collect();
+        assert_eq!(images, vec![vec![0xF, 0xF], vec![0x0, 0xF], vec![0xF, 0x0], vec![0x0, 0x0]]);
+        assert!(s.trials.iter().all(|t| t.mba.is_empty()));
+        assert_eq!(s.best, s.trials[s.winner.unwrap()].msr_1a4);
+        for c in 0..2 {
+            assert_eq!(sys.read_msr(c, MSR_MISC_FEATURE_CONTROL).unwrap(), s.best[c]);
+        }
+
+        // The MBA knob over the delay levels, with a fixed prefetch image.
+        let mut sys = machine(2);
+        let s =
+            search_in(&mut sys, Knob::Mba(&[0, 0xF]), &groups, &MBA_LEVELS, 1_000, &mut log, 0, 2);
         assert_eq!(s.trials.len(), 9);
         let w = s.winner.unwrap();
         let best = s.trials[w].hm_ipc;
@@ -203,6 +114,30 @@ mod tests {
         // The applied machine state matches the winner.
         for c in 0..2 {
             assert_eq!(Substrate::mba_throttle(&sys, c), s.best[c]);
+        }
+        assert!(log.is_empty(), "clean machine, no faults: {log:?}");
+    }
+
+    #[test]
+    fn unprogrammable_winner_keeps_the_last_good_levels() {
+        let mut s = FaultySubstrate::new(machine(2), FaultConfig::mba_only(3, 1.0));
+        let mut log = Vec::new();
+        let search = search_in(
+            &mut s,
+            Knob::Mba(&[0, 0]),
+            &[vec![0], vec![1]],
+            &MBA_LEVELS,
+            1_000,
+            &mut log,
+            0,
+            2,
+        );
+        assert_eq!(search.trials.len(), 9);
+        assert!(search.winner.is_some());
+        assert!(log.iter().any(|f| f.kind == "degraded" && f.action == "kept_last_good"));
+        assert_eq!(search.best, vec![0, 0]);
+        for c in 0..2 {
+            assert_eq!(Substrate::mba_throttle(&s, c), 0);
         }
     }
 }

@@ -104,7 +104,7 @@ mod tests {
     use super::*;
 
     fn det(agg: Vec<usize>, friendly: Vec<usize>, unfriendly: Vec<usize>) -> Detection {
-        Detection { interval1: Vec::new(), agg, friendly, unfriendly, profiling_cycles: 0 }
+        Detection { interval1: Vec::new(), agg, friendly, unfriendly }
     }
 
     fn clos_of(plan: &PartitionPlan, core: usize) -> usize {

@@ -5,11 +5,14 @@
 //! * [`pt`] — prefetch throttling (Sec. III-B1);
 //! * [`cp`] — Pref-CP / Pref-CP2 cache partitioning (Sec. III-B2);
 //! * [`dunn`] — the Selfa et al. clustering baseline;
-//! * [`cmm`] — the coordinated CMM-a/b/c policies (Sec. III-B3).
+//! * [`cmm`] — the coordinated CMM-a/b/c policies (Sec. III-B3);
+//! * [`cbp`] — the MBA delay levels of the CBP extension.
 //!
 //! All allocators speak in terms of a [`PartitionPlan`] (CLOS masks +
-//! core→CLOS assignments) and per-core prefetch enable vectors, applied
-//! through the [`Substrate`] MSR surface.
+//! core→CLOS assignments) and per-core register images, applied through
+//! the [`Substrate`] MSR surface. Every profiling trial — prefetch
+//! throttling, PT-fine levels, MBA delay levels — runs through the one
+//! trial search, [`search_in`].
 //!
 //! Every actuator path here is *fault-aware*: MSR writes go through
 //! [`write_msr_logged`] (bounded retry of transient rejections), PMU reads
@@ -25,8 +28,8 @@ pub mod dunn;
 pub mod pt;
 
 use crate::substrate::Substrate;
-use crate::telemetry::FaultRecord;
-use cmm_sim::msr::{contiguous_mask, CatError, MSR_MISC_FEATURE_CONTROL};
+use crate::telemetry::{FaultRecord, Trial};
+use cmm_sim::msr::{contiguous_mask, CatError, MSR_MBA_THROTTLE, MSR_MISC_FEATURE_CONTROL};
 use cmm_sim::pmu::PmuDelta;
 use cmm_sim::system::MsrError;
 
@@ -205,23 +208,15 @@ impl PartitionPlan {
     }
 
     /// Programs the plan into the machine, retrying transient rejections.
+    /// The CLOS mask writes are issued via `anchor`: CAT mask MSRs are
+    /// socket-scoped, so the anchor core selects which socket's CAT domain
+    /// the masks land on; pass the domain's base core when applying a
+    /// per-domain plan.
     ///
     /// Fails fast on the first unrecoverable write: CAT state is then
     /// partially programmed and the caller must fall back to a safe
-    /// configuration ([`Substrate::reset_cat`]) before continuing —
+    /// configuration ([`Substrate::reset_cat_domain`]) before continuing —
     /// exactly what [`crate::driver::Driver`] does.
-    pub fn apply<S: Substrate>(
-        &self,
-        sys: &mut S,
-        log: &mut Vec<FaultRecord>,
-    ) -> Result<(), MsrError> {
-        self.apply_at(sys, 0, log)
-    }
-
-    /// [`PartitionPlan::apply`] with the CLOS mask writes issued via
-    /// `anchor` instead of core 0. CAT mask MSRs are socket-scoped, so the
-    /// anchor core selects which socket's CAT domain the masks land on;
-    /// pass the domain's base core when applying a per-domain plan.
     pub fn apply_at<S: Substrate>(
         &self,
         sys: &mut S,
@@ -317,22 +312,14 @@ pub fn sample_hm_ipc(deltas: &[PmuDelta]) -> f64 {
     cmm_metrics::hm_ipc(&ipcs)
 }
 
-/// Sets each core's prefetchers per the enable vector, retrying transient
-/// rejections. A core whose write still fails keeps its previous setting —
-/// throttling is an optimisation, not a correctness requirement, so
-/// per-core failures are logged and tolerated rather than propagated.
-pub fn apply_prefetch_logged<S: Substrate>(
-    sys: &mut S,
-    enabled: &[bool],
-    log: &mut Vec<FaultRecord>,
-) {
-    apply_prefetch_range_logged(sys, 0, enabled, log)
-}
-
-/// [`apply_prefetch_logged`] for the core range starting at `base`:
-/// `enabled[i]` programs core `base + i`. Cores outside the range are left
-/// untouched — this is how per-domain controllers throttle their own
-/// socket without clobbering a concurrent search on another one.
+/// Sets the prefetchers of the cores starting at `base` per the enable
+/// vector (`enabled[i]` programs core `base + i`), retrying transient
+/// rejections. Cores outside the range are left untouched — this is how
+/// per-domain controllers throttle their own socket without clobbering a
+/// concurrent search on another one. A core whose write still fails keeps
+/// its previous setting: throttling is an optimisation, not a correctness
+/// requirement, so per-core failures are logged and tolerated rather than
+/// propagated.
 pub fn apply_prefetch_range_logged<S: Substrate>(
     sys: &mut S,
     base: usize,
@@ -343,11 +330,6 @@ pub fn apply_prefetch_range_logged<S: Substrate>(
         let value = if on { 0x0 } else { 0xF };
         let _ = write_msr_logged(sys, base + i, MSR_MISC_FEATURE_CONTROL, value, log);
     }
-}
-
-/// [`apply_prefetch_logged`] without a fault log.
-pub fn apply_prefetch<S: Substrate>(sys: &mut S, enabled: &[bool]) {
-    apply_prefetch_logged(sys, enabled, &mut Vec::new())
 }
 
 /// What the first two sampling intervals establish (Sec. III-B1): the
@@ -365,8 +347,6 @@ pub struct Detection {
     pub friendly: Vec<usize>,
     /// `Agg` cores that are not prefetch friendly.
     pub unfriendly: Vec<usize>,
-    /// Cycles consumed by the detection intervals.
-    pub profiling_cycles: u64,
 }
 
 /// Runs the first one or two sampling intervals: interval 1 with every
@@ -374,21 +354,13 @@ pub struct Detection {
 /// never be re-observed), and, if the `Agg` set is non-empty, interval 2
 /// with the `Agg` prefetchers off to probe prefetch friendliness.
 /// Prefetchers are left all-on afterwards.
-pub fn detect_logged<S: Substrate>(
-    sys: &mut S,
-    ctrl: &crate::policy::ControllerConfig,
-    det: &crate::frontend::DetectorConfig,
-    log: &mut Vec<FaultRecord>,
-) -> Detection {
-    detect_domains_logged(sys, ctrl, det, log, 1).pop().expect("one domain")
-}
-
-/// [`detect_logged`] generalised to `domains` equal slices of the machine
-/// (one per CAT domain / socket). The sampling intervals are *shared*: one
-/// all-on interval for everybody, then — if any domain found aggressors —
-/// one interval with every domain's `Agg` prefetchers off simultaneously.
-/// That keeps wall-clock profiling cost independent of the socket count,
-/// which is what lets the per-domain controllers run "concurrently".
+///
+/// The machine is split into `domains` equal slices (one per CAT domain /
+/// socket). The sampling intervals are *shared*: one all-on interval for
+/// everybody, then — if any domain found aggressors — one interval with
+/// every domain's `Agg` prefetchers off simultaneously. That keeps
+/// wall-clock profiling cost independent of the socket count, which is
+/// what lets the per-domain controllers run "concurrently".
 ///
 /// Each returned [`Detection`] is **domain-local**: `interval1` holds just
 /// that domain's core deltas and the `agg`/`friendly`/`unfriendly` indices
@@ -403,7 +375,7 @@ pub fn detect_domains_logged<S: Substrate>(
     let n = sys.num_cores();
     assert!(domains > 0 && n.is_multiple_of(domains), "domains must evenly split the cores");
     let len = n / domains;
-    apply_prefetch_logged(sys, &vec![true; n], log);
+    apply_prefetch_range_logged(sys, 0, &vec![true; n], log);
     let interval1 = sample_logged(sys, ctrl.sampling_interval, log);
     let aggs: Vec<Vec<usize>> = (0..domains)
         .map(|d| crate::frontend::detect_agg(&interval1[d * len..(d + 1) * len], det))
@@ -415,7 +387,6 @@ pub fn detect_domains_logged<S: Substrate>(
                 agg: Vec::new(),
                 friendly: Vec::new(),
                 unfriendly: Vec::new(),
-                profiling_cycles: ctrl.sampling_interval,
             })
             .collect();
     }
@@ -426,9 +397,9 @@ pub fn detect_domains_logged<S: Substrate>(
             enabled[d * len + c] = false;
         }
     }
-    apply_prefetch_logged(sys, &enabled, log);
+    apply_prefetch_range_logged(sys, 0, &enabled, log);
     let interval2 = sample_logged(sys, ctrl.sampling_interval, log);
-    apply_prefetch_logged(sys, &vec![true; n], log);
+    apply_prefetch_range_logged(sys, 0, &vec![true; n], log);
 
     aggs.into_iter()
         .enumerate()
@@ -446,187 +417,101 @@ pub fn detect_domains_logged<S: Substrate>(
                     unfriendly.push(c);
                 }
             }
-            Detection {
-                interval1: i1.to_vec(),
-                agg,
-                friendly,
-                unfriendly,
-                profiling_cycles: 2 * ctrl.sampling_interval,
-            }
+            Detection { interval1: i1.to_vec(), agg, friendly, unfriendly }
         })
         .collect()
 }
 
-/// [`detect_logged`] without a fault log — the convenience examples use.
+/// [`detect_domains_logged`] over the whole machine as one domain, without
+/// a fault log — the convenience examples use.
 pub fn detect<S: Substrate>(
     sys: &mut S,
     ctrl: &crate::policy::ControllerConfig,
     det: &crate::frontend::DetectorConfig,
 ) -> Detection {
-    detect_logged(sys, ctrl, det, &mut Vec::new())
+    detect_domains_logged(sys, ctrl, det, &mut Vec::new(), 1).pop().expect("one domain")
 }
 
-/// Outcome of a throttling search: the applied winner plus the full trial
-/// log the telemetry journal records.
+/// The per-core register a [`search_in`] trials. Level 0 is the power-on
+/// state of both: every prefetcher on, no bandwidth delay.
+#[derive(Debug, Clone, Copy)]
+pub enum Knob<'a> {
+    /// MSR 0x1A4, the prefetcher-disable bits.
+    Prefetch,
+    /// The MBA delay level, searched with the given domain-local MSR 0x1A4
+    /// image in force; each trial journals it next to the MBA image, so the
+    /// journal shows the joint configuration the trial actually ran.
+    Mba(&'a [u64]),
+}
+
+/// Outcome of a [`search_in`]: the applied winner plus the full trial log
+/// the telemetry journal records.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ThrottleSearch {
-    /// The winning per-core prefetch enable vector (already applied).
-    pub best: Vec<bool>,
-    /// Cycles spent on trial intervals.
-    pub cycles: u64,
+pub struct Search {
+    /// The winning domain-local register image (already applied).
+    pub best: Vec<u64>,
     /// Every trialed configuration with its `hm_ipc`, in trial order.
-    pub trials: Vec<crate::telemetry::Trial>,
+    pub trials: Vec<Trial>,
     /// Index of the winner in `trials`; `None` when no trial ran.
     pub winner: Option<usize>,
 }
 
-/// Searches the on/off space over `groups` of cores, one sampling interval
-/// per setting, ranking by `hm_ipc` (the paper's "best" criterion — the
-/// reciprocal of ANTT up to the unknown run-alone IPCs). Cores outside the
-/// groups keep their prefetchers on. Applies the winning enable vector and
-/// returns it together with the per-trial log.
+/// The back-end's trial search (Sec. III-B): tries every combination of
+/// `levels` across `groups` on the `knob` register, one sampling interval
+/// each, ranks the trials by `hm_ipc` (the paper's "best" criterion — the
+/// reciprocal of ANTT up to the unknown run-alone IPCs), and applies the
+/// winner. Group `g` takes level `levels[(combo / levels.len()^g) %
+/// levels.len()]` in trial `combo`; cores outside the groups stay at
+/// level 0.
+///
+/// The search is scoped to the `len` cores starting at `base` (one CAT
+/// domain): `groups` hold **global** core ids within that range, the trial
+/// `hm_ipc` is computed over the domain's cores only (another domain's
+/// phase change must not steer this domain's search), and the returned
+/// image and trial images are domain-local (index = global id − `base`).
+/// The whole machine still advances during each trial interval — cores
+/// outside the domain keep whatever setting they have.
 ///
 /// Trial-interval write failures are tolerated (the trial ranks whatever
 /// configuration actually took hold). If applying the *winner* fails, the
-/// search reverts to the all-on entry state — the last configuration known
-/// to be fully programmed — and logs `kept_last_good`.
-pub fn search_throttle<S: Substrate>(
+/// search reverts to level 0 — the entry state every trial started from
+/// and the power-on default — and logs `kept_last_good`.
+#[allow(clippy::too_many_arguments)]
+pub fn search_in<S: Substrate>(
     sys: &mut S,
-    groups: &[Vec<usize>],
-    sampling_interval: u64,
-    log: &mut Vec<FaultRecord>,
-) -> ThrottleSearch {
-    let n = sys.num_cores();
-    search_throttle_in(sys, groups, sampling_interval, log, 0, n)
-}
-
-/// [`search_throttle`] scoped to the `len` cores starting at `base` (one
-/// CAT domain): `groups` hold **global** core ids within that range, the
-/// trial `hm_ipc` is computed over the domain's cores only (another
-/// domain's phase change must not steer this domain's search), and the
-/// returned enable vector / trial images are domain-local (`len` entries,
-/// index = global id − `base`). The whole machine still advances during
-/// each trial interval — cores outside the domain just keep whatever
-/// prefetch setting they have.
-pub fn search_throttle_in<S: Substrate>(
-    sys: &mut S,
-    groups: &[Vec<usize>],
-    sampling_interval: u64,
-    log: &mut Vec<FaultRecord>,
-    base: usize,
-    len: usize,
-) -> ThrottleSearch {
-    let all_on = vec![true; len];
-    if groups.is_empty() {
-        apply_prefetch_range_logged(sys, base, &all_on, log);
-        return ThrottleSearch { best: all_on, cycles: 0, trials: Vec::new(), winner: None };
-    }
-    let mut best = all_on.clone();
-    let mut best_hm = f64::NEG_INFINITY;
-    let mut winner = 0;
-    let mut spent = 0;
-    let mut trials = Vec::with_capacity(1 << groups.len());
-    for combo in 0..(1u32 << groups.len()) {
-        let mut enabled = all_on.clone();
-        for (g, cores) in groups.iter().enumerate() {
-            if combo & (1 << g) == 0 {
-                for &c in cores {
-                    enabled[c - base] = false;
-                }
-            }
-        }
-        apply_prefetch_range_logged(sys, base, &enabled, log);
-        let deltas = sample_logged(sys, sampling_interval, log);
-        spent += sampling_interval;
-        let hm = sample_hm_ipc(&deltas[base..base + len]);
-        trials.push(crate::telemetry::Trial {
-            msr_1a4: enabled.iter().map(|&on| if on { 0x0 } else { 0xF }).collect(),
-            mba: Vec::new(),
-            hm_ipc: hm,
-        });
-        if hm > best_hm {
-            best_hm = hm;
-            winner = trials.len() - 1;
-            best = enabled;
-        }
-    }
-    let before = log.len();
-    apply_prefetch_range_logged(sys, base, &best, log);
-    if log.iter().skip(before).any(|f| f.action == "gave_up") {
-        // The winner could not be fully programmed: revert to the all-on
-        // entry state (best effort — prefetch-on is also the power-on
-        // default) rather than run an unknown mixture.
-        apply_prefetch_range_logged(sys, base, &all_on, log);
-        log.push(FaultRecord {
-            cycle: sys.now(),
-            kind: "degraded",
-            core: None,
-            msr: None,
-            action: "kept_last_good",
-        });
-        return ThrottleSearch { best: all_on, cycles: spent, trials, winner: Some(winner) };
-    }
-    ThrottleSearch { best, cycles: spent, trials, winner: Some(winner) }
-}
-
-/// Outcome of a level-granular throttling search (the PT-fine extension).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LevelSearch {
-    /// The winning per-core MSR 0x1A4 image (already applied).
-    pub best: Vec<u64>,
-    /// Cycles spent on trial intervals.
-    pub cycles: u64,
-    /// Every trialed configuration with its `hm_ipc`, in trial order.
-    pub trials: Vec<crate::telemetry::Trial>,
-    /// Index of the winner in `trials`; `None` when no trial ran.
-    pub winner: Option<usize>,
-}
-
-/// Generalised throttling search over arbitrary per-group MSR 0x1A4
-/// *levels* (used by the PT-fine extension): tries every combination of
-/// `levels` across `groups`, one sampling interval each, ranked by
-/// `hm_ipc`. Cores outside the groups keep all prefetchers on. Applies
-/// the winning per-core MSR image and returns it with the trial log.
-pub fn search_throttle_levels<S: Substrate>(
-    sys: &mut S,
-    groups: &[Vec<usize>],
-    levels: &[u64],
-    sampling_interval: u64,
-    log: &mut Vec<FaultRecord>,
-) -> LevelSearch {
-    let n = sys.num_cores();
-    search_throttle_levels_in(sys, groups, levels, sampling_interval, log, 0, n)
-}
-
-/// [`search_throttle_levels`] scoped to the `len` cores starting at `base`
-/// — the level-granular analogue of [`search_throttle_in`], with the same
-/// domain-local conventions (global group ids, domain-sliced `hm_ipc`,
-/// `len`-sized MSR images).
-pub fn search_throttle_levels_in<S: Substrate>(
-    sys: &mut S,
+    knob: Knob,
     groups: &[Vec<usize>],
     levels: &[u64],
     sampling_interval: u64,
     log: &mut Vec<FaultRecord>,
     base: usize,
     len: usize,
-) -> LevelSearch {
-    let all_on = vec![0u64; len];
+) -> Search {
     assert!(!levels.is_empty());
-    if groups.is_empty() {
-        for i in 0..len {
-            let _ = write_msr_logged(sys, base + i, MSR_MISC_FEATURE_CONTROL, 0, log);
+    let msr = match knob {
+        Knob::Prefetch => MSR_MISC_FEATURE_CONTROL,
+        Knob::Mba(pf_image) => {
+            assert_eq!(pf_image.len(), len, "prefetch image must cover the domain");
+            MSR_MBA_THROTTLE
         }
-        return LevelSearch { best: all_on, cycles: 0, trials: Vec::new(), winner: None };
+    };
+    let write = |sys: &mut S, image: &[u64], log: &mut Vec<FaultRecord>| {
+        for (i, &value) in image.iter().enumerate() {
+            let _ = write_msr_logged(sys, base + i, msr, value, log);
+        }
+    };
+    let entry = vec![0u64; len];
+    if groups.is_empty() {
+        write(sys, &entry, log);
+        return Search { best: entry, trials: Vec::new(), winner: None };
     }
     let combos = levels.len().pow(groups.len() as u32);
-    let mut best = all_on.clone();
+    let mut best = entry.clone();
     let mut best_hm = f64::NEG_INFINITY;
     let mut winner = 0;
-    let mut spent = 0;
     let mut trials = Vec::with_capacity(combos);
     for combo in 0..combos {
-        let mut image = all_on.clone();
+        let mut image = entry.clone();
         let mut c = combo;
         for cores in groups {
             let level = levels[c % levels.len()];
@@ -635,33 +520,25 @@ pub fn search_throttle_levels_in<S: Substrate>(
                 image[core - base] = level;
             }
         }
-        for (i, &msr) in image.iter().enumerate() {
-            let _ = write_msr_logged(sys, base + i, MSR_MISC_FEATURE_CONTROL, msr, log);
-        }
+        write(sys, &image, log);
         let deltas = sample_logged(sys, sampling_interval, log);
-        spent += sampling_interval;
-        let hm = sample_hm_ipc(&deltas[base..base + len]);
-        trials.push(crate::telemetry::Trial {
-            msr_1a4: image.clone(),
-            mba: Vec::new(),
-            hm_ipc: hm,
-        });
-        if hm > best_hm {
-            best_hm = hm;
-            winner = trials.len() - 1;
-            best = image;
+        let hm_ipc = sample_hm_ipc(&deltas[base..base + len]);
+        if hm_ipc > best_hm {
+            best_hm = hm_ipc;
+            winner = trials.len();
+            best.clone_from(&image);
         }
+        trials.push(match knob {
+            Knob::Prefetch => Trial { msr_1a4: image, mba: Vec::new(), hm_ipc },
+            Knob::Mba(pf_image) => Trial { msr_1a4: pf_image.to_vec(), mba: image, hm_ipc },
+        });
     }
     let before = log.len();
-    for (i, &msr) in best.iter().enumerate() {
-        let _ = write_msr_logged(sys, base + i, MSR_MISC_FEATURE_CONTROL, msr, log);
-    }
+    write(sys, &best, log);
     if log.iter().skip(before).any(|f| f.action == "gave_up") {
-        // Same last-known-good retreat as the binary search: all-engines-on
-        // is the state every trial started from.
-        for i in 0..len {
-            let _ = write_msr_logged(sys, base + i, MSR_MISC_FEATURE_CONTROL, 0, log);
-        }
+        // The winner could not be fully programmed: revert to the entry
+        // state (best effort) rather than run an unknown mixture.
+        write(sys, &entry, log);
         log.push(FaultRecord {
             cycle: sys.now(),
             kind: "degraded",
@@ -669,9 +546,9 @@ pub fn search_throttle_levels_in<S: Substrate>(
             msr: None,
             action: "kept_last_good",
         });
-        return LevelSearch { best: all_on, cycles: spent, trials, winner: Some(winner) };
+        best = entry;
     }
-    LevelSearch { best, cycles: spent, trials, winner: Some(winner) }
+    Search { best, trials, winner: Some(winner) }
 }
 
 /// Groups `agg` cores for throttling: exhaustive (each core its own group)
@@ -746,7 +623,7 @@ mod tests {
         sys.set_clos_mask(1, 0b1).unwrap();
         sys.assign_clos(1, 1).unwrap();
         let mut log = Vec::new();
-        PartitionPlan::flat(2, sys.llc_ways()).apply(&mut sys, &mut log).unwrap();
+        PartitionPlan::flat(2, sys.llc_ways()).apply_at(&mut sys, 0, &mut log).unwrap();
         assert_eq!(sys.effective_mask(1), 0b1111);
         assert!(log.is_empty(), "clean machine, no faults: {log:?}");
     }
@@ -759,7 +636,7 @@ mod tests {
             assignments: vec![(0, 0)],
         };
         let mut log = Vec::new();
-        let err = plan.apply(&mut sys, &mut log).unwrap_err();
+        let err = plan.apply_at(&mut sys, 0, &mut log).unwrap_err();
         // CLOS 99's mask register is beyond the machine's MSR map entirely.
         assert!(matches!(err, MsrError::UnknownMsr(_)), "{err:?}");
         assert_eq!(log.len(), 1);
@@ -825,7 +702,7 @@ mod tests {
     #[test]
     fn apply_prefetch_sets_each_core() {
         let mut sys = System::new(SystemConfig::tiny(2), vec![Box::new(Idle), Box::new(Idle)]);
-        apply_prefetch(&mut sys, &[true, false]);
+        apply_prefetch_range_logged(&mut sys, 0, &[true, false], &mut Vec::new());
         assert!(sys.prefetching_enabled(0));
         assert!(!sys.prefetching_enabled(1));
     }

@@ -5,11 +5,15 @@
 //! exhaustively while `2^|Agg|` is small, else over k-means traffic groups
 //! — one sampling interval per setting, ranked by `hm_ipc`. The winning
 //! setting runs for the next execution epoch. PT never touches CAT.
+//!
+//! The search is [`super::search_in`] with [`super::Knob::Prefetch`]: PT
+//! trials the [`ON_OFF`] levels per group, PT-fine the [`FINE_LEVELS`].
+//! [`crate::driver::Driver`] runs both per CAT domain.
 
-use super::{detect_logged, search_throttle, search_throttle_levels, throttle_groups, Detection};
-use crate::policy::ControllerConfig;
-use crate::substrate::Substrate;
-use crate::telemetry::FaultRecord;
+/// Binary PT's two MSR 0x1A4 levels: all engines off, then all on. Off
+/// comes first, so in trial `combo` group `g` is on exactly when bit `g` of
+/// `combo` is set, and the last trial is all-on.
+pub const ON_OFF: [u64; 2] = [0xF, 0x0];
 
 /// The three MSR 0x1A4 levels the PT-fine extension searches: all engines
 /// on, only the two L2 engines (streamer + adjacent) off, and all off.
@@ -20,74 +24,12 @@ pub const FINE_LEVELS: [u64; 3] = [0x0, 0x3, 0xF];
 /// intervals.
 pub const FINE_GROUP_CAP: usize = 2;
 
-/// Result of one PT profiling pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PtOutcome {
-    /// The detection that drove the decision.
-    pub detection: Detection,
-    /// The chosen per-core prefetch enabling (already applied).
-    pub prefetch_on: Vec<bool>,
-    /// Cycles spent profiling (detection + search intervals).
-    pub profiling_cycles: u64,
-    /// Every trialed configuration with its `hm_ipc` (telemetry).
-    pub trials: Vec<crate::telemetry::Trial>,
-    /// Index of the applied winner in `trials`; `None` when no search ran.
-    pub winner: Option<usize>,
-}
-
-/// PT-fine (extension): like [`profile`], but each throttle group is
-/// searched over the three [`FINE_LEVELS`] instead of binary on/off.
-/// Groups are capped at [`FINE_GROUP_CAP`] so the search stays within 9
-/// sampling intervals.
-pub fn profile_fine<S: Substrate>(
-    sys: &mut S,
-    ctrl: &ControllerConfig,
-    det_cfg: &crate::frontend::DetectorConfig,
-    log: &mut Vec<FaultRecord>,
-) -> PtOutcome {
-    let detection = detect_logged(sys, ctrl, det_cfg, log);
-    let groups =
-        throttle_groups(&detection.agg, &detection.interval1, FINE_GROUP_CAP, FINE_GROUP_CAP);
-    let search = search_throttle_levels(sys, &groups, &FINE_LEVELS, ctrl.sampling_interval, log);
-    let profiling_cycles = detection.profiling_cycles + search.cycles;
-    PtOutcome {
-        detection,
-        prefetch_on: search.best.iter().map(|&m| m != 0xF).collect(),
-        profiling_cycles,
-        trials: search.trials,
-        winner: search.winner,
-    }
-}
-
-/// Runs PT's full profiling epoch and applies the winner.
-pub fn profile<S: Substrate>(
-    sys: &mut S,
-    ctrl: &ControllerConfig,
-    det_cfg: &crate::frontend::DetectorConfig,
-    log: &mut Vec<FaultRecord>,
-) -> PtOutcome {
-    let detection = detect_logged(sys, ctrl, det_cfg, log);
-    let groups = throttle_groups(
-        &detection.agg,
-        &detection.interval1,
-        ctrl.exhaustive_limit,
-        ctrl.throttle_groups,
-    );
-    let search = search_throttle(sys, &groups, ctrl.sampling_interval, log);
-    let profiling_cycles = detection.profiling_cycles + search.cycles;
-    PtOutcome {
-        detection,
-        prefetch_on: search.best,
-        profiling_cycles,
-        trials: search.trials,
-        winner: search.winner,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::DetectorConfig;
+    use crate::driver::Driver;
+    use crate::policy::{ControllerConfig, Mechanism};
+    use crate::telemetry::EpochRecord;
     use cmm_sim::config::SystemConfig;
     use cmm_sim::workload::Workload;
     use cmm_sim::System;
@@ -107,50 +49,58 @@ mod tests {
         System::new(cfg, ws)
     }
 
+    /// Runs one `mechanism` profiling epoch after `warm` cycles and returns
+    /// its record plus the cycles the epoch spent.
+    fn one_epoch(names: &[&str], warm: u64, mechanism: Mechanism) -> (EpochRecord, u64) {
+        let mut sys = system_with(names);
+        sys.run(warm);
+        let before = sys.now();
+        let mut drv = Driver::new(sys, mechanism, ControllerConfig::quick());
+        drv.epoch();
+        let spent = drv.system().now() - before;
+        (drv.take_records().remove(0), spent)
+    }
+
+    /// The cycles a profiling epoch must spend: one all-on detection
+    /// interval, a friendliness probe when `Agg` is non-empty, and one
+    /// interval per trial.
+    fn expected_cycles(rec: &EpochRecord) -> u64 {
+        let detection = if rec.agg.is_empty() { 1 } else { 2 };
+        (detection + rec.trials.len() as u64) * ControllerConfig::quick().sampling_interval
+    }
+
     #[test]
     fn detects_stream_as_aggressive_and_friendly() {
-        let mut sys = system_with(&["bwaves3d", "povray_rt", "gobmk_ai", "namd_md"]);
-        sys.run(600_000); // warm past the cache-resident benchmarks' cold phase
-        let ctrl = ControllerConfig::quick();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert_eq!(out.detection.agg, vec![0], "only the stream is aggressive");
-        assert_eq!(out.detection.friendly, vec![0], "the stream profits from prefetching");
-        assert!(out.detection.unfriendly.is_empty());
+        // Warm past the cache-resident benchmarks' cold phase.
+        let names = ["bwaves3d", "povray_rt", "gobmk_ai", "namd_md"];
+        let (rec, _) = one_epoch(&names, 600_000, Mechanism::Pt);
+        assert_eq!(rec.agg, vec![0], "only the stream is aggressive");
+        assert_eq!(rec.friendly, vec![0], "the stream profits from prefetching");
+        assert!(rec.unfriendly.is_empty());
         // The chosen config must keep the friendly stream's prefetchers on:
         // throttling it would tank hm_ipc.
-        assert!(out.prefetch_on[0]);
+        assert_eq!(rec.applied[0].msr_1a4, 0x0);
     }
 
     #[test]
     fn throttles_the_random_access_aggressor() {
-        let mut sys = system_with(&["rand_access", "mcf_refine", "povray_rt", "omnet_events"]);
-        sys.run(600_000);
-        let ctrl = ControllerConfig::quick();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert!(
-            out.detection.agg.contains(&0),
-            "burst-random must be detected as aggressive: {:?}",
-            out.detection
-        );
-        assert!(
-            out.detection.unfriendly.contains(&0),
-            "burst-random prefetching is useless: {:?}",
-            out.detection
-        );
+        let names = ["rand_access", "mcf_refine", "povray_rt", "omnet_events"];
+        let (rec, _) = one_epoch(&names, 600_000, Mechanism::Pt);
+        assert!(rec.agg.contains(&0), "burst-random must be detected as aggressive: {rec:?}");
+        assert!(rec.unfriendly.contains(&0), "burst-random prefetching is useless: {rec:?}");
     }
 
     #[test]
     fn no_aggressor_means_no_throttling() {
         // Long warm-up: the L2-resident benchmarks legitimately look like
         // streams during their cold first pass.
-        let mut sys = system_with(&["povray_rt", "gobmk_ai", "namd_md", "hmmer_search"]);
-        sys.run(600_000);
-        let ctrl = ControllerConfig::quick();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert!(out.detection.agg.is_empty());
-        assert!(out.prefetch_on.iter().all(|&on| on));
+        let names = ["povray_rt", "gobmk_ai", "namd_md", "hmmer_search"];
+        let (rec, spent) = one_epoch(&names, 600_000, Mechanism::Pt);
+        assert!(rec.agg.is_empty());
+        assert!(rec.applied.iter().all(|c| c.msr_1a4 == 0x0));
         // Only the mandatory all-on interval was needed.
-        assert_eq!(out.profiling_cycles, ctrl.sampling_interval);
+        assert!(rec.trials.is_empty());
+        assert_eq!(spent, expected_cycles(&rec));
     }
 
     #[test]
@@ -158,24 +108,19 @@ mod tests {
         // A burst-random aggressor: its L2 engines flood, its L1 engines
         // are nearly free. PT-fine must at least not do worse than binary
         // PT's options, and the chosen MSR must be one of the three levels.
-        let mut sys = system_with(&["rand_access", "mcf_refine", "povray_rt", "omnet_events"]);
-        sys.run(600_000);
-        let ctrl = ControllerConfig::quick();
-        let out = profile_fine(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        for core in 0..4 {
-            let msr = sys.read_msr(core, cmm_sim::msr::MSR_MISC_FEATURE_CONTROL).unwrap();
-            assert!(FINE_LEVELS.contains(&msr), "core {core} msr {msr:#x}");
+        let names = ["rand_access", "mcf_refine", "povray_rt", "omnet_events"];
+        let (rec, _) = one_epoch(&names, 600_000, Mechanism::PtFine);
+        assert_eq!(rec.applied.len(), 4);
+        for (core, c) in rec.applied.iter().enumerate() {
+            assert!(FINE_LEVELS.contains(&c.msr_1a4), "core {core} msr {:#x}", c.msr_1a4);
         }
-        assert_eq!(out.prefetch_on.len(), 4);
+        assert!(rec.trials.iter().flat_map(|t| &t.msr_1a4).all(|m| FINE_LEVELS.contains(m)));
     }
 
     #[test]
-    fn profiling_cycles_accounted() {
-        let mut sys = system_with(&["bwaves3d", "rand_access", "povray_rt", "mcf_refine"]);
-        sys.run(100_000);
-        let ctrl = ControllerConfig::quick();
-        let before = sys.now();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert_eq!(sys.now() - before, out.profiling_cycles);
+    fn profiling_epoch_cycles_accounted() {
+        let names = ["bwaves3d", "rand_access", "povray_rt", "mcf_refine"];
+        let (rec, spent) = one_epoch(&names, 100_000, Mechanism::Pt);
+        assert_eq!(spent, expected_cycles(&rec));
     }
 }

@@ -27,7 +27,7 @@
 //! the epoch's [`EpochRecord::faults`] / [`EpochRecord::degraded`]
 //! telemetry.
 
-use crate::backend::{self, cbp, cmm, cp, dunn, pt, Detection, PartitionPlan};
+use crate::backend::{self, cbp, cmm, cp, dunn, pt, Detection, Knob, PartitionPlan};
 use crate::frontend::DetectorConfig;
 use crate::governor::{self, Governor, GovernorConfig, RegClass};
 use crate::learned::{self, Learner};
@@ -421,7 +421,6 @@ impl<S: Substrate> Driver<S> {
                     agg: Vec::new(),
                     friendly: Vec::new(),
                     unfriendly: Vec::new(),
-                    profiling_cycles: self.ctrl.sampling_interval,
                 })
                 .collect()
         } else {
@@ -489,9 +488,11 @@ impl<S: Substrate> Driver<S> {
             Mechanism::Pt => {
                 // PT throttles the whole Agg set (friendly included).
                 let groups = self.throttle_groups(&det.agg, det, base);
-                let search = backend::search_throttle_in(
+                let search = backend::search_in(
                     &mut self.sys,
+                    Knob::Prefetch,
                     &groups,
+                    &pt::ON_OFF,
                     self.ctrl.sampling_interval,
                     &mut rec.faults,
                     base,
@@ -509,8 +510,9 @@ impl<S: Substrate> Driver<S> {
                     ),
                     base,
                 );
-                let search = backend::search_throttle_levels_in(
+                let search = backend::search_in(
                     &mut self.sys,
+                    Knob::Prefetch,
                     &groups,
                     &pt::FINE_LEVELS,
                     self.ctrl.sampling_interval,
@@ -538,11 +540,11 @@ impl<S: Substrate> Driver<S> {
                 if cbp::mba_available(&mut self.sys, base, &mut rec.faults) {
                     let groups = self.throttle_groups(&det.agg, det, base);
                     // The detection left every prefetcher on.
-                    let search = cbp::search_mba_levels_in(
+                    let search = backend::search_in(
                         &mut self.sys,
+                        Knob::Mba(&vec![0u64; len]),
                         &groups,
                         &cbp::MBA_LEVELS,
-                        &vec![0u64; len],
                         self.ctrl.sampling_interval,
                         &mut rec.faults,
                         base,
@@ -700,15 +702,17 @@ impl<S: Substrate> Driver<S> {
         let mut pf_image = vec![0u64; len];
         if self.allow(d, RegClass::Prefetch) {
             let groups = self.throttle_groups(&det.unfriendly, det, base);
-            let search = backend::search_throttle_in(
+            let search = backend::search_in(
                 &mut self.sys,
+                Knob::Prefetch,
                 &groups,
+                &pt::ON_OFF,
                 self.ctrl.sampling_interval,
                 &mut rec.faults,
                 base,
                 len,
             );
-            pf_image = search.best.iter().map(|&on| if on { 0x0 } else { 0xF }).collect();
+            pf_image = search.best;
             (rec.trials, rec.winner) = (search.trials, search.winner);
         }
         if !mba_stage {
@@ -720,11 +724,11 @@ impl<S: Substrate> Driver<S> {
         if self.allow(d, RegClass::Mba) && cbp::mba_available(&mut self.sys, base, &mut rec.faults)
         {
             let groups = self.throttle_groups(&det.agg, det, base);
-            let search = cbp::search_mba_levels_in(
+            let search = backend::search_in(
                 &mut self.sys,
+                Knob::Mba(&pf_image),
                 &groups,
                 &cbp::MBA_LEVELS,
-                &pf_image,
                 self.ctrl.sampling_interval,
                 &mut rec.faults,
                 base,

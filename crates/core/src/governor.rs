@@ -604,7 +604,6 @@ mod tests {
             agg: agg.to_vec(),
             friendly: friendly.to_vec(),
             unfriendly: unfriendly.to_vec(),
-            profiling_cycles: 0,
         };
         // Epoch 1: clean detection establishes the trusted reference.
         let mut d1 = det(&[1, 3], &[1], &[3]);

@@ -249,7 +249,6 @@ mod tests {
             agg: vec![],
             friendly: vec![],
             unfriendly: vec![],
-            profiling_cycles: 0,
         };
         assert_eq!(state_of(&det), 0);
         det.agg = vec![0, 1, 2, 3];

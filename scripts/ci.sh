@@ -185,6 +185,24 @@ smoke_bandwidth() {
 }
 step "repro bandwidth smoke (determinism, /4 journal, bench gate)" smoke_bandwidth
 
+smoke_extension() {
+    # The PT-fine level search end to end: the extension target's stdout
+    # AND journal are byte-identical across job counts, and the journal
+    # carries PT-fine epochs that trialed the middle MSR 0x1A4 level (3:
+    # only the two L2 engines off).
+    ./target/release/repro extension --quick --jobs "$SMOKE_JOBS" \
+        --bench-json "$tmp/BENCH_ext.json" \
+        --journal "$tmp/ext.jobsN.jsonl" > "$tmp/ext.jobsN.txt"
+    ./target/release/repro extension --quick --jobs 1 \
+        --bench-json "$tmp/BENCH_ext.1.json" \
+        --journal "$tmp/ext.jobs1.jsonl" > "$tmp/ext.jobs1.txt"
+    cmp "$tmp/ext.jobs1.txt" "$tmp/ext.jobsN.txt"
+    cmp "$tmp/ext.jobs1.jsonl" "$tmp/ext.jobsN.jsonl"
+    grep '"mechanism":"PT-fine"' "$tmp/ext.jobs1.jsonl" > "$tmp/ext.ptfine.jsonl"
+    grep -Eq '\{"msr_1a4":\[([0-9]+,)*3[],]' "$tmp/ext.ptfine.jsonl"
+}
+step "repro extension smoke (PT-fine level search, determinism)" smoke_extension
+
 smoke_governor() {
     # Safety-governor gate: the fault sweep must pass its dominance gate
     # (governed CBP >= bare CBP at every nonzero rate — the run exits 1

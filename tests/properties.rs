@@ -62,7 +62,6 @@ proptest! {
             agg: agg.clone(),
             friendly,
             unfriendly,
-            profiling_cycles: 0,
         };
         let plans = [
             Some(cmm_core::backend::cp::pref_cp_plan(&det, 8, ways, scale, 1)),
