@@ -425,22 +425,16 @@ fn run_journal_summary(args: &Args) -> i32 {
             return 2;
         }
     };
-    let summary = match journal::summarize(&text) {
-        Ok(s) => s,
+    let doc = match journal::load(&text) {
+        Ok(doc) => doc,
         Err(e) => {
             eprintln!("journal-summary: {path}: {e}");
             return 2;
         }
     };
-    print!("{summary}");
+    print!("{}", journal::summarize(&doc));
     if let Some(csv_path) = &args.csv {
-        let csv = match journal::epochs_csv(&text) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("journal-summary: {path}: {e}");
-                return 2;
-            }
-        };
+        let csv = journal::epochs_csv(&doc);
         if let Err(e) = cmm_bench::atomic::write_atomic(csv_path, csv.as_bytes()) {
             eprintln!("journal-summary: write {}: {e}", csv_path.display());
             return 2;

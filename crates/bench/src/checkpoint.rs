@@ -32,11 +32,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use cmm_core::experiment::MixResult;
 use cmm_core::json::{escape, push_array, Lossless};
 use cmm_core::policy::Mechanism;
-use cmm_core::telemetry::{CoreSample, EpochRecord, FaultRecord, GovernorEvent, Trial};
+use cmm_core::telemetry::EpochRecord;
 use cmm_sim::pmu::Pmu;
-use cmm_sim::system::CoreControl;
 
 use crate::atomic::{salvage_jsonl, write_atomic, JsonlAppender};
+use crate::journal::{decode_epoch, nums, records};
 use crate::json::{parse, Json};
 
 /// Sidecar schema identifier.
@@ -323,196 +323,6 @@ pub fn decode_epochs(j: &Json) -> Result<Vec<EpochRecord>, String> {
     records(j, "epochs", decode_epoch)
 }
 
-/// The array at `key`, each element decoded by `decode`.
-fn records<T>(
-    j: &Json,
-    key: &str,
-    decode: fn(&Json) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    j.field(key, Json::as_array)?.iter().map(decode).collect()
-}
-
-/// The array at `key`, keeping the elements `item` converts.
-fn nums<T>(j: &Json, key: &str, item: fn(&Json) -> Option<T>) -> Result<Vec<T>, String> {
-    Ok(j.field(key, Json::as_array)?.iter().filter_map(item).collect())
-}
-
-/// [`nums`] for a key that joined in a later schema: `absent` when the
-/// key is missing.
-fn later_nums<T>(
-    j: &Json,
-    key: &str,
-    item: fn(&Json) -> Option<T>,
-    absent: Vec<T>,
-) -> Result<Vec<T>, String> {
-    if j.get(key).is_some() {
-        nums(j, key, item)
-    } else {
-        Ok(absent)
-    }
-}
-
-fn as_usize(j: &Json) -> Option<usize> {
-    j.as_u64().map(|v| v as usize)
-}
-
-/// Interns a string against a closed vocabulary of `&'static str` the
-/// telemetry structs use; unknown values (from a newer writer) leak once —
-/// acceptable for a short-lived CLI reading its own small sidecars.
-fn intern(s: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        // Mechanism labels.
-        "Baseline",
-        "PT",
-        "Dunn",
-        "Pref-CP",
-        "Pref-CP2",
-        "CMM-a",
-        "CMM-b",
-        "CMM-c",
-        "PT-fine",
-        "MBA",
-        "CBP",
-        "ML-Sel",
-        "RL-CBP",
-        // Degradation fallbacks.
-        "no-op",
-        "throttle-only",
-        // Fault kinds.
-        "msr_rejected",
-        "clos_exhausted",
-        "msr_error",
-        "pmu_anomaly",
-        "degraded",
-        // Fault actions.
-        "retry_ok",
-        "gave_up",
-        "reread",
-        "zeroed_sample",
-        "fallback_cmm_a",
-        "fallback_dunn",
-        "fallback_noop",
-        "fallback_throttle",
-        "kept_last_good",
-        // Governor actions (journal /5).
-        "rollback",
-        "quarantine",
-        "breaker_open",
-        "breaker_close",
-        // Governor register classes.
-        "prefetch",
-        "cat",
-        "mba",
-    ];
-    KNOWN
-        .iter()
-        .find(|k| **k == s)
-        .copied()
-        .unwrap_or_else(|| Box::leak(s.to_string().into_boxed_str()))
-}
-
-fn decode_fault(j: &Json) -> Result<FaultRecord, String> {
-    Ok(FaultRecord {
-        cycle: j.field("cycle", Json::as_u64)?,
-        kind: intern(j.field("kind", Json::as_str)?),
-        core: j.get("core").and_then(as_usize),
-        msr: j.get("msr").and_then(Json::as_u64).map(|m| m as u32),
-        action: intern(j.field("action", Json::as_str)?),
-    })
-}
-
-fn decode_governor_event(j: &Json) -> Result<GovernorEvent, String> {
-    Ok(GovernorEvent {
-        cycle: j.field("cycle", Json::as_u64)?,
-        action: intern(j.field("action", Json::as_str)?),
-        core: j.get("core").and_then(as_usize),
-        class: j.get("class").and_then(Json::as_str).map(intern),
-    })
-}
-
-fn decode_core_sample(j: &Json) -> Result<CoreSample, String> {
-    Ok(CoreSample {
-        ipc: j.field("ipc", Json::as_f64)?,
-        metrics: cmm_core::frontend::Metrics {
-            l2_llc_traffic: j.field("m1_l2_llc", Json::as_u64)?,
-            l2_pf_miss_frac: j.field("m2_pf_frac", Json::as_f64)?,
-            l2_ptr: j.field("m3_ptr", Json::as_f64)?,
-            pga: j.field("m4_pga", Json::as_f64)?,
-            l2_pmr: j.field("m5_pmr", Json::as_f64)?,
-            l2_ppm: j.field("m6_ppm", Json::as_f64)?,
-            llc_pt: j.field("m7_llc_pt", Json::as_f64)?,
-        },
-    })
-}
-
-fn decode_trial(j: &Json) -> Result<Trial, String> {
-    Ok(Trial {
-        msr_1a4: nums(j, "msr_1a4", Json::as_u64)?,
-        // The mba key joined in /4; absent on older journals.
-        mba: later_nums(j, "mba", Json::as_u64, Vec::new())?,
-        hm_ipc: j.field("hm_ipc", Json::as_f64)?,
-    })
-}
-
-/// The elements of the optional array at `key` (absent: none), each
-/// decoded by `decode`.
-fn optional_records<T>(
-    j: &Json,
-    key: &str,
-    decode: fn(&Json) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    j.get(key).and_then(Json::as_array).unwrap_or(&[]).iter().map(decode).collect()
-}
-
-/// Decodes one epoch record from its journal/checkpoint JSON rendering —
-/// the exact inverse of [`EpochRecord::to_json_line`].
-pub fn decode_epoch(j: &Json) -> Result<EpochRecord, String> {
-    let applied = j.field("applied", Some)?;
-    let clos = nums(applied, "clos", as_usize)?;
-    let way_mask = nums(applied, "way_mask", Json::as_u64)?;
-    let msr_1a4 = nums(applied, "msr_1a4", Json::as_u64)?;
-    // The mba key joined in /4 and is elided when every level is 0.
-    let mba = later_nums(applied, "mba", Json::as_u64, vec![0; clos.len()])?;
-    if clos.len() != way_mask.len() || clos.len() != msr_1a4.len() || clos.len() != mba.len() {
-        return Err("applied arrays disagree on core count".into());
-    }
-    let applied = clos
-        .into_iter()
-        .zip(way_mask)
-        .zip(msr_1a4)
-        .zip(mba)
-        .map(|(((clos, way_mask), msr_1a4), mba_level)| CoreControl {
-            clos,
-            way_mask,
-            msr_1a4,
-            mba_level,
-        })
-        .collect();
-    Ok(EpochRecord {
-        epoch: j.field("epoch", Json::as_u64)?,
-        cycle: j.field("cycle", Json::as_u64)?,
-        mechanism: intern(j.field("mechanism", Json::as_str)?),
-        domain: j.get("domain").and_then(as_usize),
-        cores: records(j, "cores", decode_core_sample)?,
-        agg: nums(j, "agg", as_usize)?,
-        friendly: nums(j, "friendly", as_usize)?,
-        unfriendly: nums(j, "unfriendly", as_usize)?,
-        trials: records(j, "trials", decode_trial)?,
-        winner: j.get("winner").and_then(as_usize),
-        exec_hm_ipc: j.get("exec_hm_ipc").and_then(Json::as_f64),
-        exec_ipc_delta: j.get("exec_ipc_delta").and_then(Json::as_f64),
-        faults: optional_records(j, "faults", decode_fault)?,
-        degraded: j.get("degraded").and_then(Json::as_str).map(intern),
-        // The governor key joined in /5 and is elided when no events fired.
-        governor: optional_records(j, "governor", decode_governor_event)?,
-        // The features/action keys joined in /6 and are elided when a
-        // mechanism records neither.
-        features: later_nums(j, "features", Json::as_f64, Vec::new())?,
-        action: j.get("action").and_then(Json::as_str).map(str::to_string),
-        applied,
-    })
-}
-
 /// A full mix-run cell of the evaluation and `learn` grids.
 impl CellCodec for MixResult {
     fn encode(&self) -> String {
@@ -567,11 +377,15 @@ impl CellCodec for MixResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cmm_core::frontend::Metrics;
+    use cmm_core::telemetry::{CoreSample, FaultRecord, GovernorEvent, Trial};
+    use cmm_sim::system::CoreControl;
 
-    fn sample_epoch() -> EpochRecord {
+    /// An epoch exercising every decoded key: one fault, a degraded
+    /// retreat, one rollback, one breaker trip and one quarantine.
+    pub(crate) fn sample_epoch() -> EpochRecord {
         EpochRecord {
             epoch: 2,
             cycle: 200_000,

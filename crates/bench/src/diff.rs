@@ -12,7 +12,10 @@
 //! the diff asks "did the controller *decide* differently?", not "did the
 //! floats format identically?".
 
-use crate::json::{self, Json};
+use cmm_core::telemetry::EpochRecord;
+use cmm_sim::system::CoreControl;
+
+use crate::journal;
 
 /// The decision content of one profiling epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,9 +23,9 @@ pub struct Decision {
     /// 1-based epoch index within the run.
     pub epoch: u64,
     /// Detected Agg set, as journaled.
-    pub agg: Vec<u64>,
+    pub agg: Vec<usize>,
     /// Winning trial index, if a search ran.
-    pub winner: Option<u64>,
+    pub winner: Option<usize>,
     /// Per-core applied CAT way masks.
     pub way_mask: Vec<u64>,
     /// Per-core applied prefetch-throttle MSR images.
@@ -31,13 +34,30 @@ pub struct Decision {
     /// epoch left every core unthrottled — the key is elided then).
     pub mba: Vec<u64>,
     /// Fallback mechanism the epoch degraded to, if any (`/2` journals).
-    pub degraded: Option<String>,
+    pub degraded: Option<&'static str>,
+}
+
+impl Decision {
+    /// The decision content of a decoded epoch record.
+    pub fn of(r: &EpochRecord) -> Decision {
+        let applied = |f: fn(&CoreControl) -> u64| r.applied.iter().map(f).collect();
+        let mba: Vec<u64> = applied(|c| c.mba_level);
+        Decision {
+            epoch: r.epoch,
+            agg: r.agg.clone(),
+            winner: r.winner,
+            way_mask: applied(|c| c.way_mask),
+            msr_1a4: applied(|c| c.msr_1a4),
+            mba: if mba.iter().all(|&l| l == 0) { Vec::new() } else { mba },
+            degraded: r.degraded,
+        }
+    }
 }
 
 /// One journal reduced to its decision sequences.
 #[derive(Debug, Clone)]
 pub struct Decisions {
-    /// Manifest `schema` line (`cmm-journal/1`..`/4`). A `/4` journal
+    /// Manifest `schema` line (`cmm-journal/1`..`/6`). A `/4` journal
     /// records a third resource (MBA levels) that earlier schemas cannot
     /// express, so callers refuse cross-schema diffs the same way they
     /// refuse cross-topology ones.
@@ -50,60 +70,27 @@ pub struct Decisions {
     /// sequences don't line up — so callers refuse the diff outright.
     pub topology: Option<String>,
     /// Per-run decision sequences, in first-appearance order. Multi-socket
-    /// epochs key as `"<run> [d<domain>]"`, one sequence per CAT domain.
+    /// epochs key as `"<run> [d<domain>]"` ([`journal::run_key`]), one
+    /// sequence per CAT domain.
     pub runs: Vec<(String, Vec<Decision>)>,
 }
 
-fn u64s(v: Option<&Json>) -> Vec<u64> {
-    v.and_then(Json::as_array)
-        .map(|a| a.iter().filter_map(Json::as_u64).collect())
-        .unwrap_or_default()
-}
-
-/// Parses a journal into its [`Decisions`]. Accepts any `cmm-journal/*`
-/// schema — the decision fields exist in `/1` and `/2` alike (`degraded`
-/// is simply absent-as-`None` on `/1`). A final line torn by a crash
-/// mid-write is dropped (torn-tail salvage) rather than failing the file.
+/// Reads a journal through [`journal::load`] — the same schema check,
+/// torn-tail salvage and typed epoch decoding `journal-summary` uses — and
+/// reduces it to its [`Decisions`].
 pub fn parse_decisions(text: &str) -> Result<Decisions, String> {
-    let salvage = crate::atomic::salvage_jsonl(text);
-    let mut lines = salvage.lines.iter();
-    let manifest =
-        json::parse(lines.next().ok_or_else(|| "empty journal (no manifest)".to_string())?)
-            .map_err(|e| format!("manifest: {e}"))?;
-    let schema = manifest.get("schema").and_then(Json::as_str).unwrap_or("").to_string();
-    if !schema.starts_with("cmm-journal/") {
-        return Err(format!("not a cmm journal (schema '{schema}')"));
-    }
-    let config_digest =
-        manifest.get("config_digest").and_then(Json::as_str).unwrap_or("").to_string();
-    let topology = manifest.get("topology").and_then(Json::as_str).map(str::to_string);
-
-    let mut runs: Vec<(String, Vec<Decision>)> = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let rec = json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
-        if rec.get("kind").and_then(Json::as_str) != Some("epoch") {
-            continue;
-        }
-        let mut run = rec.get("run").and_then(Json::as_str).unwrap_or("?").to_string();
-        if let Some(d) = rec.get("domain").and_then(Json::as_u64) {
-            run.push_str(&format!(" [d{d}]"));
-        }
-        let applied = rec.get("applied");
-        let d = Decision {
-            epoch: rec.get("epoch").and_then(Json::as_u64).unwrap_or(0),
-            agg: u64s(rec.get("agg")),
-            winner: rec.get("winner").and_then(Json::as_u64),
-            way_mask: u64s(applied.and_then(|a| a.get("way_mask"))),
-            msr_1a4: u64s(applied.and_then(|a| a.get("msr_1a4"))),
-            mba: u64s(applied.and_then(|a| a.get("mba"))),
-            degraded: rec.get("degraded").and_then(Json::as_str).map(str::to_string),
-        };
-        match runs.iter_mut().find(|(name, _)| *name == run) {
-            Some((_, seq)) => seq.push(d),
-            None => runs.push((run, vec![d])),
-        }
-    }
-    Ok(Decisions { schema, config_digest, topology, runs })
+    let doc = journal::load(text)?;
+    let meta = |k: &str| doc.meta(k).map(str::to_string);
+    Ok(Decisions {
+        schema: meta("schema").unwrap_or_default(),
+        config_digest: meta("config_digest").unwrap_or_default(),
+        topology: meta("topology"),
+        runs: doc
+            .runs()
+            .into_iter()
+            .map(|(run, recs)| (run, recs.into_iter().map(Decision::of).collect()))
+            .collect(),
+    })
 }
 
 /// Outcome of comparing two journals' decision sequences.
@@ -330,6 +317,12 @@ mod tests {
         assert!(parse_decisions("").is_err());
         assert!(parse_decisions("{\"schema\":\"other/1\"}").is_err());
         assert!(parse_decisions("not json").is_err());
+        // A schema this reader does not know is refused, as
+        // `journal-summary` refuses it, even when the lines would parse.
+        let v7 = MANIFEST.replace("cmm-journal/2", "cmm-journal/7");
+        let err =
+            parse_decisions(&format!("{v7}\n{}\n", epoch_line("A: PT", 1, "0", 3))).unwrap_err();
+        assert!(err.contains("unsupported schema 'cmm-journal/7'"), "{err}");
         // A /1 journal (no degraded/faults keys) still parses.
         let v1 = MANIFEST.replace("cmm-journal/2", "cmm-journal/1");
         let line = epoch_line("A: PT", 1, "0", 3)

@@ -18,6 +18,7 @@
 //! across `--jobs`, and CI runs it twice to prove exactly that.
 
 use crate::checkpoint::{self, CellCodec, Checkpoint};
+use crate::journal::Tally;
 use crate::json::Json;
 use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
@@ -44,22 +45,22 @@ pub struct FaultCell {
     pub rate: f64,
     /// Harmonic-mean IPC over the measurement window.
     pub hm_ipc: f64,
-    /// Total substrate faults the controller observed and journaled.
-    pub faults: u64,
-    /// Profiling epochs that retreated to a fallback mechanism.
-    pub degraded_epochs: u64,
-    /// The run's controller telemetry (journal cell payload).
+    /// The run's controller telemetry (journal cell payload); its
+    /// [`Tally`] holds the fault and degraded-epoch counts.
     pub epochs: Vec<EpochRecord>,
 }
 
+/// The payload also carries the run's fault and degraded-epoch counts;
+/// they follow from its epochs, so decoding recounts them.
 impl CellCodec for FaultCell {
     fn encode(&self) -> String {
+        let t = Tally::of(&self.epochs);
         let mut s = format!(
             "{{\"rate\":{},\"hm_ipc\":{},\"faults\":{},\"degraded_epochs\":{},\"epochs\":",
             Lossless(self.rate),
             Lossless(self.hm_ipc),
-            self.faults,
-            self.degraded_epochs
+            t.faults,
+            t.degraded
         );
         checkpoint::push_epochs(&mut s, &self.epochs);
         s.push('}');
@@ -70,8 +71,6 @@ impl CellCodec for FaultCell {
         Ok(FaultCell {
             rate: j.field("rate", Json::as_f64)?,
             hm_ipc: j.field("hm_ipc", Json::as_f64)?,
-            faults: j.field("faults", Json::as_u64)?,
-            degraded_epochs: j.field("degraded_epochs", Json::as_u64)?,
             epochs: checkpoint::decode_epochs(j)?,
         })
     }
@@ -153,14 +152,7 @@ pub fn sweep_resumable(
                 let faults = Some((leg.faults)(fault_seed, rate));
                 let opts = MixOptions { faults, ..MixOptions::default() };
                 let r = run_mix_cell(Some(&pool), &mix, leg.mechanism, &cfg, opts);
-                FaultCell {
-                    rate,
-                    hm_ipc: cmm_metrics::hm_ipc(&r.ipcs),
-                    faults: r.epochs.iter().map(|e| e.faults.len() as u64).sum(),
-                    degraded_epochs: r.epochs.iter().filter(|e| e.degraded.is_some()).count()
-                        as u64,
-                    epochs: r.epochs,
-                }
+                FaultCell { rate, hm_ipc: cmm_metrics::hm_ipc(&r.ipcs), epochs: r.epochs }
             })
         },
     )
@@ -185,12 +177,13 @@ pub fn rows(cells: &[FaultCell]) -> Vec<Vec<String>> {
         .iter()
         .map(|c| {
             let rel = c.hm_ipc / base;
+            let t = Tally::of(&c.epochs);
             vec![
                 format!("{:.2}", c.rate),
                 format!("{:.3}", c.hm_ipc),
                 format!("{rel:.3}"),
-                c.faults.to_string(),
-                c.degraded_epochs.to_string(),
+                t.faults.to_string(),
+                t.degraded.to_string(),
                 if rel >= SMOOTHNESS_FLOOR { "ok".into() } else { "CLIFF".into() },
             ]
         })
@@ -212,9 +205,10 @@ pub fn journal_cells(leg: &Leg, cells: Vec<FaultCell>) -> Vec<(String, Vec<Epoch
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::sample_epoch;
 
     fn cell(rate: f64, hm: f64) -> FaultCell {
-        FaultCell { rate, hm_ipc: hm, faults: 0, degraded_epochs: 0, epochs: vec![] }
+        FaultCell { rate, hm_ipc: hm, epochs: vec![] }
     }
 
     #[test]
@@ -238,19 +232,23 @@ mod tests {
 
     #[test]
     fn cell_codec_round_trips_losslessly() {
+        let mut quiet = sample_epoch();
+        quiet.faults.clear();
+        quiet.degraded = None;
         let c = FaultCell {
             rate: 0.05,
             hm_ipc: 1.0872273441234567,
-            faults: 17,
-            degraded_epochs: 3,
-            epochs: vec![],
+            epochs: vec![sample_epoch(), quiet, sample_epoch()],
         };
-        let j = crate::json::parse(&c.encode()).expect("valid payload");
+        let payload = c.encode();
+        assert!(payload.contains("\"faults\":2,\"degraded_epochs\":2,\"epochs\":["), "{payload}");
+        let j = crate::json::parse(&payload).expect("valid payload");
         let back = FaultCell::decode(&j).unwrap();
         assert_eq!(back.rate, c.rate);
         assert_eq!(back.hm_ipc, c.hm_ipc, "hm_ipc must be bit-identical");
-        assert_eq!((back.faults, back.degraded_epochs), (17, 3));
-        assert!(back.epochs.is_empty());
+        let t = Tally::of(&back.epochs);
+        assert_eq!((t.faults, t.degraded), (2, 2));
+        assert_eq!(back.encode(), payload, "the sidecar bytes survive a round trip");
     }
 
     #[test]

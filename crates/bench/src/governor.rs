@@ -15,6 +15,7 @@
 //! byte-identical across `--jobs`, and CI runs it twice to prove that.
 
 use crate::checkpoint::{self, CellCodec, Checkpoint};
+use crate::journal::Tally;
 use crate::json::Json;
 use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
@@ -56,17 +57,8 @@ pub struct GovCell {
     pub governed: bool,
     /// Harmonic-mean IPC over the measurement window.
     pub hm_ipc: f64,
-    /// Total substrate faults the controller observed and journaled.
-    pub faults: u64,
-    /// Profiling epochs that retreated to a fallback mechanism.
-    pub degraded_epochs: u64,
-    /// Governor rollbacks (kept-last-good epochs).
-    pub rollbacks: u64,
-    /// Governor core quarantines.
-    pub quarantines: u64,
-    /// Governor circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// The run's controller telemetry (journal cell payload).
+    /// The run's controller telemetry (journal cell payload); its
+    /// [`Tally`] holds the fault, degraded-epoch and governor counts.
     pub epochs: Vec<EpochRecord>,
 }
 
@@ -75,12 +67,11 @@ pub fn cell_label(rate: f64, governed: bool) -> String {
     format!("governor rate={rate:.2}: {}", if governed { "CBP+gov" } else { "CBP" })
 }
 
-fn count_events(epochs: &[EpochRecord], action: &str) -> u64 {
-    epochs.iter().flat_map(|e| &e.governor).filter(|ev| ev.action == action).count() as u64
-}
-
+/// The payload also carries the run's fault, degraded-epoch and governor
+/// counts; they follow from its epochs, so decoding recounts them.
 impl CellCodec for GovCell {
     fn encode(&self) -> String {
+        let t = Tally::of(&self.epochs);
         let mut s = format!(
             "{{\"rate\":{},\"governed\":{},\"hm_ipc\":{},\"faults\":{},\
              \"degraded_epochs\":{},\"rollbacks\":{},\"quarantines\":{},\
@@ -88,11 +79,11 @@ impl CellCodec for GovCell {
             Lossless(self.rate),
             self.governed,
             Lossless(self.hm_ipc),
-            self.faults,
-            self.degraded_epochs,
-            self.rollbacks,
-            self.quarantines,
-            self.breaker_trips
+            t.faults,
+            t.degraded,
+            t.rollbacks,
+            t.quarantines,
+            t.breaker_trips
         );
         checkpoint::push_epochs(&mut s, &self.epochs);
         s.push('}');
@@ -104,11 +95,6 @@ impl CellCodec for GovCell {
             rate: j.field("rate", Json::as_f64)?,
             governed: j.field("governed", Json::as_bool)?,
             hm_ipc: j.field("hm_ipc", Json::as_f64)?,
-            faults: j.field("faults", Json::as_u64)?,
-            degraded_epochs: j.field("degraded_epochs", Json::as_u64)?,
-            rollbacks: j.field("rollbacks", Json::as_u64)?,
-            quarantines: j.field("quarantines", Json::as_u64)?,
-            breaker_trips: j.field("breaker_trips", Json::as_u64)?,
             epochs: checkpoint::decode_epochs(j)?,
         })
     }
@@ -146,18 +132,7 @@ pub fn sweep_resumable(
                     learner: None,
                 };
                 let r = run_mix_cell(Some(&pool), &mix, Mechanism::Cbp, &cfg, opts);
-                GovCell {
-                    rate,
-                    governed,
-                    hm_ipc: cmm_metrics::hm_ipc(&r.ipcs),
-                    faults: r.epochs.iter().map(|e| e.faults.len() as u64).sum(),
-                    degraded_epochs: r.epochs.iter().filter(|e| e.degraded.is_some()).count()
-                        as u64,
-                    rollbacks: count_events(&r.epochs, "rollback"),
-                    quarantines: count_events(&r.epochs, "quarantine"),
-                    breaker_trips: count_events(&r.epochs, "breaker_open"),
-                    epochs: r.epochs,
-                }
+                GovCell { rate, governed, hm_ipc: cmm_metrics::hm_ipc(&r.ipcs), epochs: r.epochs }
             })
         },
     )
@@ -197,15 +172,16 @@ pub fn rows(cells: &[GovCell]) -> Vec<Vec<String>> {
         .into_iter()
         .map(|(bare, gov)| {
             let delta = gov.hm_ipc - bare.hm_ipc;
+            let t = Tally::of(&gov.epochs);
             vec![
                 format!("{:.2}", bare.rate),
                 format!("{:.3}", bare.hm_ipc),
                 format!("{:.3}", gov.hm_ipc),
                 format!("{delta:+.3}"),
-                gov.faults.to_string(),
-                gov.rollbacks.to_string(),
-                gov.quarantines.to_string(),
-                gov.breaker_trips.to_string(),
+                t.faults.to_string(),
+                t.rollbacks.to_string(),
+                t.quarantines.to_string(),
+                t.breaker_trips.to_string(),
                 if bare.rate == 0.0 || gov.hm_ipc >= bare.hm_ipc {
                     "ok".into()
                 } else {
@@ -254,19 +230,10 @@ pub fn journal_cells(cells: Vec<GovCell>) -> Vec<(String, Vec<EpochRecord>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::sample_epoch;
 
     fn cell(rate: f64, governed: bool, hm: f64) -> GovCell {
-        GovCell {
-            rate,
-            governed,
-            hm_ipc: hm,
-            faults: 0,
-            degraded_epochs: 0,
-            rollbacks: 0,
-            quarantines: 0,
-            breaker_trips: 0,
-            epochs: vec![],
-        }
+        GovCell { rate, governed, hm_ipc: hm, epochs: vec![] }
     }
 
     #[test]
@@ -316,33 +283,38 @@ mod tests {
 
     #[test]
     fn cell_codec_round_trips_losslessly() {
+        // Each sample epoch holds one fault, one degraded retreat and one
+        // rollback, quarantine and breaker trip; the rollback-only epoch
+        // adds one more rollback.
+        let mut rollback_only = sample_epoch();
+        rollback_only.faults.clear();
+        rollback_only.degraded = None;
+        rollback_only.governor.retain(|ev| ev.action == "rollback");
         let c = GovCell {
             rate: 0.05,
             governed: true,
             hm_ipc: 1.0872273441234567,
-            faults: 17,
-            degraded_epochs: 3,
-            rollbacks: 2,
-            quarantines: 1,
-            breaker_trips: 4,
-            epochs: vec![],
+            epochs: vec![sample_epoch(), sample_epoch(), rollback_only],
         };
-        let j = crate::json::parse(&c.encode()).expect("valid payload");
+        let payload = c.encode();
+        assert!(
+            payload.contains(
+                "\"faults\":2,\"degraded_epochs\":2,\"rollbacks\":3,\"quarantines\":2,\
+                 \"breaker_trips\":2,\"epochs\":["
+            ),
+            "{payload}"
+        );
+        let j = crate::json::parse(&payload).expect("valid payload");
         let back = GovCell::decode(&j).unwrap();
         assert_eq!(back.rate, c.rate);
         assert!(back.governed);
         assert_eq!(back.hm_ipc, c.hm_ipc, "hm_ipc must be bit-identical");
+        let t = Tally::of(&back.epochs);
         assert_eq!(
-            (
-                back.faults,
-                back.degraded_epochs,
-                back.rollbacks,
-                back.quarantines,
-                back.breaker_trips
-            ),
-            (17, 3, 2, 1, 4)
+            (t.faults, t.degraded, t.rollbacks, t.quarantines, t.breaker_trips),
+            (2, 2, 3, 2, 2)
         );
-        assert!(back.epochs.is_empty());
+        assert_eq!(back.encode(), payload, "the sidecar bytes survive a round trip");
     }
 
     #[test]
@@ -363,7 +335,10 @@ mod tests {
         }
         // Under faults the governor must actually act somewhere.
         assert!(
-            cells.iter().any(|c| c.rollbacks + c.quarantines + c.breaker_trips > 0),
+            cells
+                .iter()
+                .map(|c| Tally::of(&c.epochs))
+                .any(|t| t.rollbacks + t.quarantines + t.breaker_trips > 0),
             "no governor interventions across the whole sweep"
         );
     }

@@ -1,23 +1,31 @@
 //! Assembles the `cmm-journal/2` (single-socket) / `cmm-journal/3`
 //! (multi-socket) / `cmm-journal/4` (MBA-capable) / `cmm-journal/5`
 //! (governed) / `cmm-journal/6` (learned) run journal (see
-//! [`cmm_core::telemetry`]) and pretty-prints it back
-//! (`repro journal-summary`). The summary reader accepts
-//! `cmm-journal/1` through `/6` — each schema only adds keys (`/3`: a
-//! manifest `topology` and per-record `domain`; `/4`: per-trial and
-//! applied `mba` levels; `/5`: a manifest `governor` flag and per-record
-//! `governor` event arrays; `/6`: a manifest `learn` flag and per-record
-//! `features` vectors and `action` labels).
+//! [`cmm_core::telemetry`]) and reads it back. [`load`] is the one
+//! reader: it accepts `cmm-journal/1` through `/6` — each schema only
+//! adds keys (`/3`: a manifest `topology` and per-record `domain`; `/4`:
+//! per-trial and applied `mba` levels; `/5`: a manifest `governor` flag
+//! and per-record `governor` event arrays; `/6`: a manifest `learn` flag
+//! and per-record `features` vectors and `action` labels) — and decodes
+//! every epoch line into a typed [`EpochRecord`] with [`decode_epoch`],
+//! the exact inverse of [`EpochRecord::to_json_line`] that checkpoint
+//! payloads decode through too. `repro journal-summary` ([`summarize`],
+//! [`epochs_csv`]) and `repro journal-diff` ([`crate::diff`]) read
+//! through it, and [`Tally`] counts a run for them and for the sweep
+//! tables.
 //!
 //! The journal is JSONL: one manifest line (schema, target, seed, git SHA,
 //! host, config digest) followed by one line per controller profiling
 //! epoch. Rendering delegates to [`cmm_core::telemetry`]; this module adds
-//! the run-level context (git SHA discovery, host info), the deterministic
-//! cell ordering for `evaluate` results, and the summary view.
+//! the run-level context (git SHA discovery, host info) and the
+//! deterministic cell ordering for `evaluate` results.
 
 use std::path::{Path, PathBuf};
 
-use cmm_core::telemetry::{config_digest, EpochRecord, Manifest};
+use cmm_core::telemetry::{
+    config_digest, CoreSample, EpochRecord, FaultRecord, GovernorEvent, Manifest, Trial,
+};
+use cmm_sim::system::CoreControl;
 
 use crate::atomic::{salvage_jsonl, write_atomic};
 use crate::figures::Evaluation;
@@ -134,21 +142,45 @@ pub fn write(
     Ok(cells.iter().map(|(_, e)| e.len()).sum())
 }
 
-/// A loaded journal: parsed manifest plus parsed epoch records, with the
-/// torn-tail salvage accounting every reader shares.
+/// A loaded journal: the parsed manifest plus every epoch line decoded
+/// into a typed [`EpochRecord`], with the torn-tail salvage accounting
+/// every reader shares.
 #[derive(Debug)]
 pub struct JournalDoc {
     /// The manifest line, parsed.
     pub manifest: Json,
-    /// Every `kind == "epoch"` record, parsed, in file order.
-    pub epochs: Vec<Json>,
+    /// Every `kind == "epoch"` record with its run label, in file order.
+    pub epochs: Vec<(String, EpochRecord)>,
     /// Trailing partial lines dropped by torn-tail salvage (0 or 1).
     pub dropped: usize,
 }
 
-/// Parses a journal with torn-tail recovery: a final line torn by a crash
-/// mid-write is dropped (and counted in [`JournalDoc::dropped`]) instead
-/// of failing the whole file; mid-file garbage is still a proper error —
+impl JournalDoc {
+    /// The manifest's string value at `key`, if present.
+    pub fn meta(&self, key: &str) -> Option<&str> {
+        self.manifest.get(key).and_then(Json::as_str)
+    }
+
+    /// The epochs grouped by [`run_key`], runs in first-appearance order.
+    pub fn runs(&self) -> Vec<(String, Vec<&EpochRecord>)> {
+        let mut runs: Vec<(String, Vec<&EpochRecord>)> = Vec::new();
+        for (run, rec) in &self.epochs {
+            let key = run_key(run, rec);
+            match runs.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, recs)) => recs.push(rec),
+                None => runs.push((key, vec![rec])),
+            }
+        }
+        runs
+    }
+}
+
+/// The journal reader every consumer shares (`journal-summary`, its
+/// `--csv`, `journal-diff`). Accepts `cmm-journal/1` through `/6` and
+/// decodes each epoch line with [`decode_epoch`], so a line missing a key
+/// the writer always emits is an error naming the line. A final line torn
+/// by a crash mid-write is dropped (and counted in [`JournalDoc::dropped`])
+/// instead of failing the whole file; mid-file garbage is still an error —
 /// that is corruption, not an interrupted append.
 pub fn load(text: &str) -> Result<JournalDoc, String> {
     let salvage = salvage_jsonl(text);
@@ -169,12 +201,91 @@ pub fn load(text: &str) -> Result<JournalDoc, String> {
     }
     let mut epochs = Vec::new();
     for (i, line) in lines.enumerate() {
-        let rec = parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
+        let at = |e: String| format!("line {}: {e}", i + 2);
+        let rec = parse(line).map_err(at)?;
         if rec.get("kind").and_then(Json::as_str) == Some("epoch") {
-            epochs.push(rec);
+            let run = rec.field("run", Json::as_str).map_err(at)?.to_string();
+            epochs.push((run, decode_epoch(&rec).map_err(at)?));
         }
     }
     Ok(JournalDoc { manifest, epochs, dropped: salvage.dropped })
+}
+
+/// A run's grouping key: the run label, plus `" [dN]"` on a multi-socket
+/// journal, where each CAT domain of a run is its own decision sequence.
+pub fn run_key(run: &str, rec: &EpochRecord) -> String {
+    match rec.domain {
+        Some(d) => format!("{run} [d{d}]"),
+        None => run.to_string(),
+    }
+}
+
+/// What one run's epochs add up to — the one counter behind the
+/// `journal-summary` rows and resilience footer and the `faults`,
+/// `governor` and `learn` tables.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Epoch records.
+    pub epochs: u64,
+    /// Epochs that detected a non-empty Agg set.
+    pub agg_epochs: u64,
+    /// Agg cores summed over those epochs.
+    pub agg_cores: u64,
+    /// Trials searched.
+    pub trials: u64,
+    /// Epochs whose search picked a winner.
+    pub winners: u64,
+    /// Substrate faults the controller observed.
+    pub faults: u64,
+    /// Epochs that retreated to a fallback mechanism.
+    pub degraded: u64,
+    /// Epochs whose applied machine state (CLOS, mask, 0x1A4 and MBA
+    /// images) differs from the previous epoch's.
+    pub churn: u64,
+    /// Governor rollbacks (kept-last-good epochs).
+    pub rollbacks: u64,
+    /// Governor core quarantines.
+    pub quarantines: u64,
+    /// Governor circuit-breaker trips.
+    pub breaker_trips: u64,
+}
+
+impl Tally {
+    /// Counts a run's epochs, in run order.
+    pub fn of<'a>(epochs: impl IntoIterator<Item = &'a EpochRecord>) -> Tally {
+        let mut t = Tally::default();
+        let mut prev: Option<&[CoreControl]> = None;
+        for e in epochs {
+            t.epochs += 1;
+            if !e.agg.is_empty() {
+                t.agg_epochs += 1;
+                t.agg_cores += e.agg.len() as u64;
+            }
+            t.trials += e.trials.len() as u64;
+            t.winners += u64::from(e.winner.is_some());
+            t.faults += e.faults.len() as u64;
+            t.degraded += u64::from(e.degraded.is_some());
+            t.churn += u64::from(prev.is_some_and(|p| p != e.applied));
+            prev = Some(&e.applied);
+            for ev in &e.governor {
+                match ev.action {
+                    "rollback" => t.rollbacks += 1,
+                    "quarantine" => t.quarantines += 1,
+                    "breaker_open" => t.breaker_trips += 1,
+                    _ => {}
+                }
+            }
+        }
+        t
+    }
+
+    /// The resilience counts, as the summary footer prints them.
+    fn resilience(&self) -> String {
+        format!(
+            "faults={} degraded-epochs={} rollbacks={} quarantines={} breaker-trips={}",
+            self.faults, self.degraded, self.rollbacks, self.quarantines, self.breaker_trips
+        )
+    }
 }
 
 /// Extracts the journal cells from an [`Evaluation`], in the harness's
@@ -195,163 +306,26 @@ pub fn eval_cells(eval: &Evaluation) -> Vec<(String, Vec<EpochRecord>)> {
     cells
 }
 
-/// Per-run accumulator for [`summarize`]. On `/3` journals each CAT
-/// domain of a run gets its own row (`domain` is the grouping key's second
-/// half); on `/1`–`/2` journals `domain` is always `None`.
-struct RunStats {
-    run: String,
-    domain: Option<u64>,
-    mechanism: String,
-    epochs: u64,
-    agg_epochs: u64,
-    agg_core_sum: u64,
-    trials: u64,
-    winners: u64,
-    faults: u64,
-    degraded_epochs: u64,
-    churn: u64,
-    applied_sig: Option<String>,
-    rollbacks: u64,
-    quarantines: u64,
-    breaker_trips: u64,
-    last_throttled: usize,
-    last_partitioned: usize,
-}
-
-/// Parses a journal and renders the human-readable summary: manifest
-/// context plus one row per run (epoch count, how often aggressors were
-/// detected, trials searched, final applied state).
-pub fn summarize(text: &str) -> Result<String, String> {
-    let doc = load(text)?;
-    let man = doc.manifest;
-    let mut runs: Vec<RunStats> = Vec::new();
-    for rec in &doc.epochs {
-        let run = rec.get("run").and_then(Json::as_str).unwrap_or("?").to_string();
-        let domain = rec.get("domain").and_then(Json::as_u64);
-        let stats = match runs.iter_mut().find(|r| r.run == run && r.domain == domain) {
-            Some(s) => s,
-            None => {
-                runs.push(RunStats {
-                    run: run.clone(),
-                    domain,
-                    mechanism: rec
-                        .get("mechanism")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    epochs: 0,
-                    agg_epochs: 0,
-                    agg_core_sum: 0,
-                    trials: 0,
-                    winners: 0,
-                    faults: 0,
-                    degraded_epochs: 0,
-                    churn: 0,
-                    applied_sig: None,
-                    rollbacks: 0,
-                    quarantines: 0,
-                    breaker_trips: 0,
-                    last_throttled: 0,
-                    last_partitioned: 0,
-                });
-                runs.last_mut().unwrap()
-            }
-        };
-        stats.epochs += 1;
-        let agg_len = rec.get("agg").and_then(Json::as_array).map(<[Json]>::len).unwrap_or(0);
-        if agg_len > 0 {
-            stats.agg_epochs += 1;
-            stats.agg_core_sum += agg_len as u64;
-        }
-        stats.trials +=
-            rec.get("trials").and_then(Json::as_array).map(<[Json]>::len).unwrap_or(0) as u64;
-        if rec.get("winner").and_then(Json::as_u64).is_some() {
-            stats.winners += 1;
-        }
-        // /2-only keys; absent (0) on /1 journals.
-        stats.faults +=
-            rec.get("faults").and_then(Json::as_array).map(<[Json]>::len).unwrap_or(0) as u64;
-        if rec.get("degraded").and_then(Json::as_str).is_some() {
-            stats.degraded_epochs += 1;
-        }
-        // /5-only key; absent on ungoverned journals.
-        if let Some(events) = rec.get("governor").and_then(Json::as_array) {
-            for ev in events {
-                match ev.get("action").and_then(Json::as_str) {
-                    Some("rollback") => stats.rollbacks += 1,
-                    Some("quarantine") => stats.quarantines += 1,
-                    Some("breaker_open") => stats.breaker_trips += 1,
-                    _ => {}
-                }
-            }
-        }
-        if let Some(applied) = rec.get("applied") {
-            stats.last_throttled = applied
-                .get("prefetch")
-                .and_then(Json::as_array)
-                .map(|v| v.iter().filter(|p| p.as_bool() == Some(false)).count())
-                .unwrap_or(0);
-            // "Partitioned" = not every core shares one identical mask.
-            stats.last_partitioned = applied
-                .get("way_mask")
-                .and_then(Json::as_array)
-                .map(|v| {
-                    let first = v.first().and_then(Json::as_u64);
-                    if v.iter().all(|m| m.as_u64() == first) {
-                        0
-                    } else {
-                        v.len()
-                    }
-                })
-                .unwrap_or(0);
-            // Decision churn: an epoch churns when its applied machine
-            // state (CLOS/mask/prefetch/MBA images) differs from the run's
-            // previous epoch. The msr_1a4 image subsumes the boolean
-            // prefetch view; the elided-when-all-zero mba key renders as a
-            // stable empty segment.
-            let sig = ["clos", "way_mask", "msr_1a4", "mba"]
-                .iter()
-                .map(|k| {
-                    applied
-                        .get(k)
-                        .and_then(Json::as_array)
-                        .map(|v| {
-                            v.iter()
-                                .filter_map(Json::as_u64)
-                                .map(|x| x.to_string())
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        })
-                        .unwrap_or_default()
-                })
-                .collect::<Vec<_>>()
-                .join(";");
-            if stats.applied_sig.as_deref().is_some_and(|prev| prev != sig) {
-                stats.churn += 1;
-            }
-            stats.applied_sig = Some(sig);
-        }
-    }
-
-    let mut out = String::new();
-    let field = |k: &str| man.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-    let target = field("target");
-    let quick = man.get("quick").and_then(Json::as_bool).unwrap_or(false);
-    let seed = man.get("seed").and_then(Json::as_u64).unwrap_or(0);
-    let host = man.get("host");
-    let topology = man
-        .get("topology")
-        .and_then(Json::as_str)
-        .map(|t| format!(" topology={t}"))
-        .unwrap_or_default();
-    out.push_str(&format!(
-        "journal: target={target} quick={quick} seed={seed}{topology} git={} host={}/{} cpus={} {}\n",
-        field("git_sha"),
-        host.and_then(|h| h.get("os")).and_then(Json::as_str).unwrap_or("?"),
-        host.and_then(|h| h.get("arch")).and_then(Json::as_str).unwrap_or("?"),
-        host.and_then(|h| h.get("cpus")).and_then(Json::as_u64).unwrap_or(0),
-        field("config_digest"),
-    ));
+/// Renders the human-readable summary: manifest context plus one row per
+/// run (one per CAT domain on `/3` journals) — epoch count, how often
+/// aggressors were detected, trials searched, final applied state — and a
+/// resilience footer on runs that absorbed faults or governor actions.
+pub fn summarize(doc: &JournalDoc) -> String {
+    let man = &doc.manifest;
+    let meta = |k: &str| doc.meta(k).unwrap_or("?");
+    let host = |k: &str| man.get("host").and_then(|h| h.get(k));
+    let topology = doc.meta("topology").map(|t| format!(" topology={t}")).unwrap_or_default();
+    let mut out = format!(
+        "journal: target={} quick={} seed={}{topology} git={} host={}/{} cpus={} {}\n",
+        meta("target"),
+        man.get("quick").and_then(Json::as_bool).unwrap_or(false),
+        man.get("seed").and_then(Json::as_u64).unwrap_or(0),
+        meta("git_sha"),
+        host("os").and_then(Json::as_str).unwrap_or("?"),
+        host("arch").and_then(Json::as_str).unwrap_or("?"),
+        host("cpus").and_then(Json::as_u64).unwrap_or(0),
+        meta("config_digest"),
+    );
     if doc.dropped > 0 {
         out.push_str(&format!(
             "note: torn tail — dropped {} partial line(s), salvaged {} epoch record(s)\n",
@@ -359,37 +333,44 @@ pub fn summarize(text: &str) -> Result<String, String> {
             doc.epochs.len()
         ));
     }
+    let runs: Vec<(String, Vec<&EpochRecord>, Tally)> = doc
+        .runs()
+        .into_iter()
+        .map(|(key, recs)| {
+            let t = Tally::of(recs.iter().copied());
+            (key, recs, t)
+        })
+        .collect();
     let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|r| {
-            let mean_agg = if r.agg_epochs > 0 {
-                format!("{:.1}", r.agg_core_sum as f64 / r.agg_epochs as f64)
+        .map(|(key, recs, t)| {
+            let mean_agg = if t.agg_epochs > 0 {
+                format!("{:.1}", t.agg_cores as f64 / t.agg_epochs as f64)
             } else {
                 "-".into()
             };
+            // The final applied state; "partitioned" means not every core
+            // shares one identical mask.
+            let last = &recs[recs.len() - 1].applied;
+            let partitioned = last.iter().any(|c| c.way_mask != last[0].way_mask);
             vec![
-                match r.domain {
-                    Some(d) => format!("{} [d{d}]", r.run),
-                    None => r.run.clone(),
-                },
-                r.mechanism.clone(),
-                r.epochs.to_string(),
-                format!("{}/{}", r.agg_epochs, r.epochs),
+                key.clone(),
+                recs[0].mechanism.to_string(),
+                t.epochs.to_string(),
+                format!("{}/{}", t.agg_epochs, t.epochs),
                 mean_agg,
-                r.trials.to_string(),
-                r.winners.to_string(),
-                r.faults.to_string(),
-                r.degraded_epochs.to_string(),
-                r.churn.to_string(),
-                r.last_throttled.to_string(),
-                if r.last_partitioned > 0 { "yes".into() } else { "no".into() },
+                t.trials.to_string(),
+                t.winners.to_string(),
+                t.faults.to_string(),
+                t.degraded.to_string(),
+                t.churn.to_string(),
+                last.iter().filter(|c| !c.prefetching()).count().to_string(),
+                if partitioned { "yes" } else { "no" }.into(),
             ]
         })
         .collect();
     out.push_str(&crate::report::table(
-        &format!("journal-summary — {} runs, {} epochs", runs.len(), {
-            runs.iter().map(|r| r.epochs).sum::<u64>()
-        }),
+        &format!("journal-summary — {} runs, {} epochs", runs.len(), doc.epochs.len()),
         &[
             "run",
             "mechanism",
@@ -408,40 +389,20 @@ pub fn summarize(text: &str) -> Result<String, String> {
     ));
     // Resilience footer: only on runs where the harness actually absorbed
     // something, so clean-run summaries stay byte-identical.
-    let eventful: Vec<&RunStats> = runs
+    let eventful: Vec<_> = runs
         .iter()
-        .filter(|r| {
-            r.faults + r.degraded_epochs + r.rollbacks + r.quarantines + r.breaker_trips > 0
+        .filter(|(_, _, t)| {
+            t.faults + t.degraded + t.rollbacks + t.quarantines + t.breaker_trips > 0
         })
         .collect();
     if !eventful.is_empty() {
-        let sum = |f: fn(&RunStats) -> u64| eventful.iter().map(|r| f(r)).sum::<u64>();
-        out.push_str(&format!(
-            "resilience: faults={} degraded-epochs={} rollbacks={} quarantines={} \
-             breaker-trips={}\n",
-            sum(|r| r.faults),
-            sum(|r| r.degraded_epochs),
-            sum(|r| r.rollbacks),
-            sum(|r| r.quarantines),
-            sum(|r| r.breaker_trips),
-        ));
-        for r in eventful {
-            out.push_str(&format!(
-                "  {}: faults={} degraded-epochs={} rollbacks={} quarantines={} \
-                 breaker-trips={}\n",
-                match r.domain {
-                    Some(d) => format!("{} [d{d}]", r.run),
-                    None => r.run.clone(),
-                },
-                r.faults,
-                r.degraded_epochs,
-                r.rollbacks,
-                r.quarantines,
-                r.breaker_trips,
-            ));
+        let total = Tally::of(eventful.iter().flat_map(|(_, recs, _)| recs.iter().copied()));
+        out.push_str(&format!("resilience: {}\n", total.resilience()));
+        for (key, _, t) in eventful {
+            out.push_str(&format!("  {key}: {}\n", t.resilience()));
         }
     }
-    Ok(out)
+    out
 }
 
 /// Renders the journal's per-epoch telemetry as a plottable CSV
@@ -449,52 +410,34 @@ pub fn summarize(text: &str) -> Result<String, String> {
 /// execution-epoch outcome fields the control loop is judged by. Empty
 /// cells mean "not available this epoch" (e.g. `exec_hm_ipc` before the
 /// first execution epoch completes).
-pub fn epochs_csv(text: &str) -> Result<String, String> {
-    let doc = load(text)?;
+pub fn epochs_csv(doc: &JournalDoc) -> String {
     // The domain column only appears on multi-socket (/3) journals, so
     // single-socket CSV output stays byte-identical to the /2 reader's.
-    let with_domain = doc.epochs.iter().any(|r| r.get("domain").is_some());
-    let mut out = if with_domain {
-        String::from("run,domain,epoch,mechanism,exec_hm_ipc,exec_ipc_delta,faults,degraded\n")
+    let with_domain = doc.epochs.iter().any(|(_, r)| r.domain.is_some());
+    let mut out = String::from(if with_domain {
+        "run,domain,epoch,mechanism,exec_hm_ipc,exec_ipc_delta,faults,degraded\n"
     } else {
-        String::from("run,epoch,mechanism,exec_hm_ipc,exec_ipc_delta,faults,degraded\n")
-    };
-    for rec in &doc.epochs {
-        let run = rec.get("run").and_then(Json::as_str).unwrap_or("?");
-        let epoch = rec.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-        let mech = rec.get("mechanism").and_then(Json::as_str).unwrap_or("?");
-        let hm = rec
-            .get("exec_hm_ipc")
-            .and_then(Json::as_f64)
-            .map(|v| format!("{v:.6}"))
-            .unwrap_or_default();
-        let delta = rec
-            .get("exec_ipc_delta")
-            .and_then(Json::as_f64)
-            .map(|v| format!("{v:.6}"))
-            .unwrap_or_default();
-        let faults = rec.get("faults").and_then(Json::as_array).map(<[Json]>::len).unwrap_or(0);
-        let degraded = rec.get("degraded").and_then(Json::as_str).unwrap_or("");
-        let domain = if with_domain {
-            format!(
-                "{},",
-                rec.get("domain").and_then(Json::as_u64).map(|d| d.to_string()).unwrap_or_default()
-            )
-        } else {
-            String::new()
+        "run,epoch,mechanism,exec_hm_ipc,exec_ipc_delta,faults,degraded\n"
+    });
+    let fixed = |v: Option<f64>| v.map(|v| format!("{v:.6}")).unwrap_or_default();
+    for (run, r) in &doc.epochs {
+        let domain = match r.domain {
+            Some(d) => format!("{d},"),
+            None if with_domain => ",".into(),
+            None => String::new(),
         };
         out.push_str(&format!(
             "{},{domain}{},{},{},{},{},{}\n",
             csv_field(run),
-            epoch,
-            csv_field(mech),
-            hm,
-            delta,
-            faults,
-            csv_field(degraded)
+            r.epoch,
+            csv_field(r.mechanism),
+            fixed(r.exec_hm_ipc),
+            fixed(r.exec_ipc_delta),
+            r.faults.len(),
+            csv_field(r.degraded.unwrap_or(""))
         ));
     }
-    Ok(out)
+    out
 }
 
 /// Quotes a CSV field when it contains a delimiter, quote or newline.
@@ -504,6 +447,199 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
+}
+
+// ---------------------------------------------------------------------------
+// The epoch decoder: journal lines and checkpoint payloads alike.
+
+/// The array at `key`, each element decoded by `decode`.
+pub(crate) fn records<T>(
+    j: &Json,
+    key: &str,
+    decode: fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    j.field(key, Json::as_array)?.iter().map(decode).collect()
+}
+
+/// The array at `key`, keeping the elements `item` converts.
+pub(crate) fn nums<T>(j: &Json, key: &str, item: fn(&Json) -> Option<T>) -> Result<Vec<T>, String> {
+    Ok(j.field(key, Json::as_array)?.iter().filter_map(item).collect())
+}
+
+/// [`nums`] for a key that joined in a later schema: `absent` when the
+/// key is missing.
+fn later_nums<T>(
+    j: &Json,
+    key: &str,
+    item: fn(&Json) -> Option<T>,
+    absent: Vec<T>,
+) -> Result<Vec<T>, String> {
+    if j.get(key).is_some() {
+        nums(j, key, item)
+    } else {
+        Ok(absent)
+    }
+}
+
+fn as_usize(j: &Json) -> Option<usize> {
+    j.as_u64().map(|v| v as usize)
+}
+
+/// Interns a string against a closed vocabulary of `&'static str` the
+/// telemetry structs use; unknown values (from a newer writer) leak once —
+/// acceptable for a short-lived CLI reading its own small sidecars.
+fn intern(s: &str) -> &'static str {
+    const KNOWN: &[&str] = &[
+        // Mechanism labels.
+        "Baseline",
+        "PT",
+        "Dunn",
+        "Pref-CP",
+        "Pref-CP2",
+        "CMM-a",
+        "CMM-b",
+        "CMM-c",
+        "PT-fine",
+        "MBA",
+        "CBP",
+        "ML-Sel",
+        "RL-CBP",
+        // Degradation fallbacks.
+        "no-op",
+        "throttle-only",
+        // Fault kinds.
+        "msr_rejected",
+        "clos_exhausted",
+        "msr_error",
+        "pmu_anomaly",
+        "degraded",
+        // Fault actions.
+        "retry_ok",
+        "gave_up",
+        "reread",
+        "zeroed_sample",
+        "fallback_cmm_a",
+        "fallback_dunn",
+        "fallback_noop",
+        "fallback_throttle",
+        "kept_last_good",
+        // Governor actions (journal /5).
+        "rollback",
+        "quarantine",
+        "breaker_open",
+        "breaker_close",
+        // Governor register classes.
+        "prefetch",
+        "cat",
+        "mba",
+    ];
+    KNOWN
+        .iter()
+        .find(|k| **k == s)
+        .copied()
+        .unwrap_or_else(|| Box::leak(s.to_string().into_boxed_str()))
+}
+
+fn decode_fault(j: &Json) -> Result<FaultRecord, String> {
+    Ok(FaultRecord {
+        cycle: j.field("cycle", Json::as_u64)?,
+        kind: intern(j.field("kind", Json::as_str)?),
+        core: j.get("core").and_then(as_usize),
+        msr: j.get("msr").and_then(Json::as_u64).map(|m| m as u32),
+        action: intern(j.field("action", Json::as_str)?),
+    })
+}
+
+fn decode_governor_event(j: &Json) -> Result<GovernorEvent, String> {
+    Ok(GovernorEvent {
+        cycle: j.field("cycle", Json::as_u64)?,
+        action: intern(j.field("action", Json::as_str)?),
+        core: j.get("core").and_then(as_usize),
+        class: j.get("class").and_then(Json::as_str).map(intern),
+    })
+}
+
+fn decode_core_sample(j: &Json) -> Result<CoreSample, String> {
+    Ok(CoreSample {
+        ipc: j.field("ipc", Json::as_f64)?,
+        metrics: cmm_core::frontend::Metrics {
+            l2_llc_traffic: j.field("m1_l2_llc", Json::as_u64)?,
+            l2_pf_miss_frac: j.field("m2_pf_frac", Json::as_f64)?,
+            l2_ptr: j.field("m3_ptr", Json::as_f64)?,
+            pga: j.field("m4_pga", Json::as_f64)?,
+            l2_pmr: j.field("m5_pmr", Json::as_f64)?,
+            l2_ppm: j.field("m6_ppm", Json::as_f64)?,
+            llc_pt: j.field("m7_llc_pt", Json::as_f64)?,
+        },
+    })
+}
+
+fn decode_trial(j: &Json) -> Result<Trial, String> {
+    Ok(Trial {
+        msr_1a4: nums(j, "msr_1a4", Json::as_u64)?,
+        // The mba key joined in /4; absent on older journals.
+        mba: later_nums(j, "mba", Json::as_u64, Vec::new())?,
+        hm_ipc: j.field("hm_ipc", Json::as_f64)?,
+    })
+}
+
+/// The elements of the optional array at `key` (absent: none), each
+/// decoded by `decode`.
+fn optional_records<T>(
+    j: &Json,
+    key: &str,
+    decode: fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    j.get(key).and_then(Json::as_array).unwrap_or(&[]).iter().map(decode).collect()
+}
+
+/// Decodes one epoch record from its journal/checkpoint JSON rendering —
+/// the exact inverse of [`EpochRecord::to_json_line`].
+pub fn decode_epoch(j: &Json) -> Result<EpochRecord, String> {
+    let applied = j.field("applied", Some)?;
+    let clos = nums(applied, "clos", as_usize)?;
+    let way_mask = nums(applied, "way_mask", Json::as_u64)?;
+    let msr_1a4 = nums(applied, "msr_1a4", Json::as_u64)?;
+    // The mba key joined in /4 and is elided when every level is 0.
+    let mba = later_nums(applied, "mba", Json::as_u64, vec![0; clos.len()])?;
+    if clos.len() != way_mask.len() || clos.len() != msr_1a4.len() || clos.len() != mba.len() {
+        return Err("applied arrays disagree on core count".into());
+    }
+    let applied = clos
+        .into_iter()
+        .zip(way_mask)
+        .zip(msr_1a4)
+        .zip(mba)
+        .map(|(((clos, way_mask), msr_1a4), mba_level)| CoreControl {
+            clos,
+            way_mask,
+            msr_1a4,
+            mba_level,
+        })
+        .collect();
+    Ok(EpochRecord {
+        epoch: j.field("epoch", Json::as_u64)?,
+        cycle: j.field("cycle", Json::as_u64)?,
+        mechanism: intern(j.field("mechanism", Json::as_str)?),
+        domain: j.get("domain").and_then(as_usize),
+        cores: records(j, "cores", decode_core_sample)?,
+        agg: nums(j, "agg", as_usize)?,
+        friendly: nums(j, "friendly", as_usize)?,
+        unfriendly: nums(j, "unfriendly", as_usize)?,
+        trials: records(j, "trials", decode_trial)?,
+        winner: j.get("winner").and_then(as_usize),
+        exec_hm_ipc: j.get("exec_hm_ipc").and_then(Json::as_f64),
+        exec_ipc_delta: j.get("exec_ipc_delta").and_then(Json::as_f64),
+        faults: optional_records(j, "faults", decode_fault)?,
+        degraded: j.get("degraded").and_then(Json::as_str).map(intern),
+        // The governor key joined in /5 and is elided when no events fired.
+        governor: optional_records(j, "governor", decode_governor_event)?,
+        // The features/action keys joined in /6 and are elided when a
+        // mechanism records neither.
+        features: later_nums(j, "features", Json::as_f64, Vec::new())?,
+        action: j.get("action").and_then(Json::as_str).map(str::to_string),
+        applied,
+    })
 }
 
 #[cfg(test)]
@@ -579,7 +715,7 @@ mod tests {
         let text = render(&man, &[("Mix-00: CBP".to_string(), vec![r])]);
         assert!(text.starts_with("{\"schema\":\"cmm-journal/4\""), "{text}");
         assert!(text.contains("\"mba\":[40,0]"), "{text}");
-        let summary = summarize(&text).expect("summary");
+        let summary = summarize(&load(&text).expect("load"));
         assert!(summary.contains("Mix-00: CBP"), "{summary}");
     }
 
@@ -609,7 +745,7 @@ mod tests {
         assert!(text.starts_with("{\"schema\":\"cmm-journal/5\""), "{text}");
         assert!(text.contains("\"governor\":true"), "{text}");
         assert!(text.contains("\"action\":\"rollback\""), "{text}");
-        let summary = summarize(&text).expect("summary");
+        let summary = summarize(&load(&text).expect("load"));
         assert!(
             summary.contains(
                 "resilience: faults=0 degraded-epochs=0 rollbacks=1 quarantines=1 \
@@ -619,7 +755,7 @@ mod tests {
         );
         assert!(summary.contains("  Mix-00: CBP+gov: faults=0"), "{summary}");
         // The CSV header is pinned: governor events must not widen it.
-        let csv = epochs_csv(&text).expect("csv");
+        let csv = epochs_csv(&load(&text).expect("load"));
         assert!(
             csv.starts_with("run,epoch,mechanism,exec_hm_ipc,exec_ipc_delta,faults,degraded\n"),
             "{csv}"
@@ -644,13 +780,13 @@ mod tests {
         assert!(text.contains("\"learn\":true"), "{text}");
         assert!(text.contains("\"features\":[1.250000,0.500000]"), "{text}");
         assert!(text.contains("\"action\":\"pf=0xf,cat=cmm,mba=0,stretch=1\""), "{text}");
-        let summary = summarize(&text).expect("summary");
+        let summary = summarize(&load(&text).expect("load"));
         let row = summary.lines().find(|l| l.contains("Mix-00: RL-CBP")).expect("run row");
         let cols: Vec<&str> = row.split_whitespace().collect();
         // Trailing columns: …, degraded, churn, throttled, partitioned.
         assert_eq!(cols[cols.len() - 3], "1", "one applied-state change in three epochs: {row}");
         // The CSV header is pinned: /6 keys must not widen it.
-        let csv = epochs_csv(&text).expect("csv");
+        let csv = epochs_csv(&load(&text).expect("load"));
         assert!(
             csv.starts_with("run,epoch,mechanism,exec_hm_ipc,exec_ipc_delta,faults,degraded\n"),
             "{csv}"
@@ -661,7 +797,7 @@ mod tests {
     fn clean_summaries_have_no_resilience_footer() {
         let man = manifest(&meta());
         let text = render(&man, &[("Mix-00: CMM-a".to_string(), vec![record(1, 1)])]);
-        let summary = summarize(&text).expect("summary");
+        let summary = summarize(&load(&text).expect("load"));
         assert!(!summary.contains("resilience:"), "{summary}");
     }
 
@@ -674,13 +810,13 @@ mod tests {
         d1.domain = Some(1);
         let text = render(&man, &[("Mix-00: CMM-a".to_string(), vec![d0, d1])]);
         assert!(text.starts_with("{\"schema\":\"cmm-journal/3\""), "{text}");
-        let summary = summarize(&text).expect("summary");
+        let summary = summarize(&load(&text).expect("load"));
         // One row per domain, plus the topology in the header.
         assert!(summary.contains("topology=2x2"), "{summary}");
         assert!(summary.contains("Mix-00: CMM-a [d0]"), "{summary}");
         assert!(summary.contains("Mix-00: CMM-a [d1]"), "{summary}");
         assert!(summary.contains("2 runs, 2 epochs"), "{summary}");
-        let csv = epochs_csv(&text).expect("csv");
+        let csv = epochs_csv(&load(&text).expect("load"));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
             lines[0],
@@ -699,7 +835,7 @@ mod tests {
         ];
         let text = render(&man, &cells);
         assert_eq!(text.lines().count(), 4);
-        let summary = summarize(&text).expect("summary");
+        let summary = summarize(&load(&text).expect("load"));
         assert!(summary.contains("target=test"), "{summary}");
         assert!(summary.contains("Mix-00: CMM-a"), "{summary}");
         assert!(summary.contains("2 runs, 3 epochs"), "{summary}");
@@ -727,7 +863,7 @@ mod tests {
         let doc = load(torn).expect("torn tail must salvage, not error");
         assert_eq!(doc.dropped, 1);
         assert_eq!(doc.epochs.len(), 1, "only the intact epoch survives");
-        let summary = summarize(torn).expect("summary of salvaged journal");
+        let summary = summarize(&doc);
         assert!(summary.contains("torn tail"), "{summary}");
         assert!(summary.contains("1 runs, 1 epochs"), "{summary}");
     }
@@ -741,7 +877,13 @@ mod tests {
         let corrupted = format!("{}\n", lines.join("\n"));
         let err = load(&corrupted).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
-        assert!(summarize(&corrupted).is_err());
+        // Valid JSON that lacks a key the writer always emits is refused
+        // too, naming the line and the key, instead of summarizing as a
+        // zero row.
+        lines[1] = "{\"kind\":\"epoch\",\"run\":\"x\",\"epoch\":1}";
+        let incomplete = format!("{}\n", lines.join("\n"));
+        let err = load(&incomplete).unwrap_err();
+        assert_eq!(err, "line 2: missing 'applied'");
     }
 
     #[test]
@@ -758,7 +900,7 @@ mod tests {
             ("Mix-00: Baseline".to_string(), vec![record(1, 0)]),
             ("Mix-00: CMM-a".to_string(), vec![record(1, 2), record(2, 3)]),
         ];
-        let csv = epochs_csv(&render(&man, &cells)).expect("csv");
+        let csv = epochs_csv(&load(&render(&man, &cells)).expect("load"));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "run,epoch,mechanism,exec_hm_ipc,exec_ipc_delta,faults,degraded");
         assert_eq!(lines.len(), 4, "{csv}");
@@ -795,9 +937,9 @@ mod tests {
 
     #[test]
     fn summarize_rejects_garbage() {
-        assert!(summarize("").is_err());
-        assert!(summarize("{\"schema\":\"other\"}").is_err());
-        assert!(summarize("not json").is_err());
+        assert!(load("").is_err());
+        assert!(load("{\"schema\":\"other\"}").is_err());
+        assert!(load("not json").is_err());
     }
 
     #[test]

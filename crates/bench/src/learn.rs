@@ -25,6 +25,7 @@
 //! the lossless [`crate::checkpoint`] MixResult codec).
 
 use crate::checkpoint::Checkpoint;
+use crate::journal::Tally;
 use crate::report;
 use crate::runner::{run_cells, CellFailure, Progress};
 use cmm_core::experiment::{
@@ -183,24 +184,6 @@ pub fn evaluate_resumable(
     .into_results()
 }
 
-/// Decision churn of one run: epochs whose applied machine state
-/// (CLOS/mask/0x1A4/MBA images) differs from the previous epoch's — the
-/// same definition `repro journal-summary` reports.
-pub fn churn(epochs: &[EpochRecord]) -> u64 {
-    epochs
-        .windows(2)
-        .filter(|w| {
-            let sig = |e: &EpochRecord| {
-                e.applied
-                    .iter()
-                    .map(|c| (c.clos, c.way_mask, c.msr_1a4, c.mba_level))
-                    .collect::<Vec<_>>()
-            };
-            sig(&w[0]) != sig(&w[1])
-        })
-        .count() as u64
-}
-
 /// Mean `exec_hm_ipc` over the run's last (up to) three reporting epochs
 /// — the converged tail an online learner is judged by. `None` before
 /// any execution epoch completes.
@@ -230,8 +213,9 @@ pub fn mix_names(cells: &[MixResult]) -> Vec<String> {
 }
 
 /// Table rows: one per (mix, mechanism) — hm_ipc, ratio to the mix's
-/// CMM-a, Jain fairness over baseline-normalized per-core IPCs, decision
-/// churn, and degraded-epoch count.
+/// CMM-a, Jain fairness over baseline-normalized per-core IPCs, and the
+/// [`Tally`]'s decision churn and degraded-epoch count — the same counts
+/// `repro journal-summary` reports.
 pub fn rows(cells: &[MixResult]) -> Vec<Vec<String>> {
     let mut out = Vec::new();
     for mix in mix_names(cells) {
@@ -251,14 +235,15 @@ pub fn rows(cells: &[MixResult]) -> Vec<Vec<String>> {
                 ),
                 None => "-".into(),
             };
+            let t = Tally::of(&r.epochs);
             out.push(vec![
                 mix.clone(),
                 mech.label().to_string(),
                 format!("{hm:.3}"),
                 vs_cmm,
                 fairness,
-                churn(&r.epochs).to_string(),
-                r.epochs.iter().filter(|e| e.degraded.is_some()).count().to_string(),
+                t.churn.to_string(),
+                t.degraded.to_string(),
             ]);
         }
     }
@@ -561,6 +546,7 @@ mod tests {
         let b = a.clone();
         let mut c = a.clone();
         c.applied[0].msr_1a4 = 0xF;
+        let churn = |epochs: &[EpochRecord]| Tally::of(epochs).churn;
         assert_eq!(churn(&[a.clone(), b.clone()]), 0, "identical state: no churn");
         assert_eq!(churn(&[a.clone(), c.clone(), b.clone()]), 2);
         a.exec_hm_ipc = Some(1.0);

@@ -18,12 +18,14 @@
 //!   `repro faults` (hm_ipc vs injected substrate fault rate).
 //! * [`governor`] — the safety-governor dominance sweep behind
 //!   `repro governor` (bare vs governed CBP under injected faults).
-//! * [`journal`] — assembles the `cmm-journal/2` JSONL run journal from
-//!   the controller's per-epoch telemetry, and summarizes it back.
+//! * [`journal`] — assembles the `cmm-journal/2`..`/6` JSONL run journal
+//!   from the controller's per-epoch telemetry, and reads it back: one
+//!   typed reader (`load`), the `journal-summary` views and the `Tally`
+//!   that counts a run.
 //! * [`tracecmd`] — the `repro trace record/convert/stat` subcommands over
 //!   `cmm-trace/1` trace files (recorded mixes feed `--trace-dir` runs).
 //! * [`diff`] — `journal-diff`: structural comparison of two journals'
-//!   per-epoch decision sequences.
+//!   per-epoch decision sequences, read through `journal::load`.
 //! * [`compare`] — the `bench-compare` perf regression gate over
 //!   `BENCH_sim.json` logs.
 //! * [`json`] — minimal JSON reader for the harness's own artifacts (the

@@ -45,8 +45,16 @@ fn journal_is_byte_identical_across_job_counts() {
 #[test]
 fn journal_summary_reads_a_real_journal() {
     let text = journal_text(2);
-    let summary = journal::summarize(&text).expect("real journal must summarize");
+    let doc = journal::load(&text).expect("real journal must load");
+    let summary = journal::summarize(&doc);
     assert!(summary.contains("target=test"), "{summary}");
     assert!(summary.contains("CMM-a"), "{summary}");
     assert!(summary.contains("Baseline"), "{summary}");
+    // The typed reader loses nothing: every epoch line re-renders
+    // byte-identically from its decoded record.
+    let lines: Vec<&str> = text.lines().skip(1).collect();
+    assert_eq!(doc.epochs.len(), lines.len());
+    for ((run, rec), line) in doc.epochs.iter().zip(lines) {
+        assert_eq!(rec.to_json_line(run), line);
+    }
 }

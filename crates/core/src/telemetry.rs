@@ -1,4 +1,4 @@
-//! Per-epoch controller telemetry — the `cmm-journal/2` run journal.
+//! Per-epoch controller telemetry — the `cmm-journal/2`..`/6` run journal.
 //!
 //! CMM's value is its control loop: every profiling epoch the front-end
 //! computes the metric cascade (M-1..M-7, Fig. 5), detects the `Agg` set,
@@ -26,7 +26,13 @@
 //! the new keys; nothing was removed or reordered. Schema `/3` adds the
 //! multi-socket story (`topology` in the manifest, `domain` per epoch) and
 //! `/4` the bandwidth knob (`mba` levels in trials and the `applied`
-//! block) — both purely additive in the same way.
+//! block), `/5` the safety governor (a manifest `governor` flag and
+//! per-epoch `governor` event arrays) and `/6` the learned controllers
+//! (a manifest `learn` flag and per-epoch `features` vectors and
+//! `action` labels) — all purely additive in the same way, and each new
+//! key is elided when empty, so older journals render byte-identically.
+//! `cmm_bench::journal::load` reads `/1` through `/6` back into
+//! [`EpochRecord`]s.
 //!
 //! One JSON object per line; the first line is the run manifest (git SHA,
 //! host info, config digest), every further line one epoch. The rendering

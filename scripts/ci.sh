@@ -46,7 +46,9 @@ step "cargo clippy (all targets, warnings are errors)" \
     cargo clippy --workspace --all-targets -- -D warnings
 step "cargo build --release" cargo build --release --workspace
 step "cargo test" cargo test -q
-step "cargo test --workspace" cargo test -q --workspace
+# The root package (`cmm`) ran in the step above; every other crate runs
+# here, so each test runs exactly once.
+step "cargo test --workspace (other crates)" cargo test -q --workspace --exclude cmm
 
 smoke_repro() {
     # Determinism gate: tables AND journals must be byte-identical across
@@ -433,6 +435,30 @@ smoke_trace() {
     grep -q -- '--resume:' "$tmp/trace-refuse.err"
 }
 step "repro trace smoke (record/convert/stat, trace-dir determinism, resume refusal)" smoke_trace
+
+smoke_journal_readers() {
+    # Every journal the smokes above wrote, schemas /2 through /6 and the
+    # multi-socket /3, must load through the one strict reader: both
+    # journal-summary (with its --csv export) and a self-diff exit 0.
+    local j
+    for j in journal faults bw ext gov learn scale trace; do
+        ./target/release/repro journal-summary "$tmp/$j.jobs1.jsonl" \
+            --csv "$tmp/$j.readers.csv" > /dev/null 2>&1 || {
+            echo "journal-summary refused $j.jobs1.jsonl" >&2
+            return 1
+        }
+        ./target/release/repro journal-diff \
+            "$tmp/$j.jobs1.jsonl" "$tmp/$j.jobs1.jsonl" > /dev/null || {
+            echo "journal-diff refused $j.jobs1.jsonl against itself" >&2
+            return 1
+        }
+    done
+    ./target/release/repro journal-summary "$tmp/resumed.jsonl" \
+        --csv "$tmp/resumed.readers.csv" > /dev/null 2>&1
+    ./target/release/repro journal-diff "$tmp/resumed.jsonl" "$tmp/resumed.jsonl" > /dev/null
+}
+step "repro journal readers smoke (summary, --csv and self-diff on every smoke journal)" \
+    smoke_journal_readers
 
 step "repro soak (chaos: panic retry, failure isolation, kill + resume)" \
     ./target/release/repro soak --jobs "$SMOKE_JOBS"
