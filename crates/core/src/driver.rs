@@ -224,9 +224,11 @@ impl<S: Substrate> Driver<S> {
     ///
     /// The detection intervals are shared across domains (two
     /// machine-wide samples total, see [`backend::detect_domains_logged`]).
-    /// Throttle-search trial intervals run per domain in sequence (each
-    /// trial must measure its own domain undisturbed), which is also how
-    /// independent per-socket daemons would interleave in wall-clock time.
+    /// Throttle-search trial intervals run per domain in sequence today:
+    /// each trial runs the whole machine and scores only its own domain.
+    /// Independent per-socket daemons would trial concurrently instead;
+    /// running every domain's trials in the same intervals is the open
+    /// "lockstep per-domain profiling" item in ROADMAP.md.
     /// Faults are attributed to the domain whose controller section
     /// observed them; machine-wide faults with a core id are routed to
     /// that core's domain, core-less ones to domain 0.

@@ -14,13 +14,31 @@
 //! `alloc_mask` limiting victim selection, while [`Cache::access`] searches
 //! all ways unconditionally. This mirrors the hardware exactly and is what
 //! makes *overlapping* partitions (used by the paper and by Dunn) work.
+//!
+//! ## Storage
+//!
+//! Each way costs 10 bytes: its exact `u64` line tag and one `u16` of
+//! metadata, whose high 14 bits are an LRU stamp and whose low 2 bits are
+//! the prefetched and dirty flags. Each set adds a `u16` LRU clock. LRU
+//! order is only ever compared within one set, every touch of a valid way
+//! takes a fresh tick of its set's clock (so the valid ways of a set hold
+//! distinct stamps), and invalid ways are chosen before any stamp is
+//! read. A per-set clock therefore picks the same victims as one
+//! cache-wide counter would. When a set's clock would pass the 14-bit
+//! range, `Cache::renumber` rewrites that set's valid stamps to `1..=k`
+//! in the same order.
 
 use crate::config::CacheGeometry;
 
 const INVALID_TAG: u64 = u64::MAX;
 
-const FLAG_PREFETCHED: u8 = 0b01;
-const FLAG_DIRTY: u8 = 0b10;
+const FLAG_PREFETCHED: u16 = 0b01;
+const FLAG_DIRTY: u16 = 0b10;
+/// Metadata bits below the LRU stamp.
+const STAMP_SHIFT: u32 = 2;
+const FLAG_MASK: u16 = (1 << STAMP_SHIFT) - 1;
+/// Largest stamp a per-set clock hands out before it renumbers the set.
+const STAMP_MAX: u16 = u16::MAX >> STAMP_SHIFT;
 
 /// Result of a cache hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,11 +81,11 @@ pub struct Cache {
     set_mask: u64,
     /// `sets * ways` tags (line numbers), row-major by set.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`; larger = more recently used.
-    stamps: Vec<u64>,
-    /// Per-line flag bits parallel to `tags`.
-    flags: Vec<u8>,
-    tick: u64,
+    /// Metadata parallel to `tags`: the way's LRU stamp (larger = more
+    /// recently used) above [`STAMP_SHIFT`] flag bits. Zero when invalid.
+    meta: Vec<u16>,
+    /// Per-set LRU clock: the last stamp handed out in that set.
+    clocks: Vec<u16>,
     /// Counters; public for tests and diagnostics.
     pub stats: CacheStats,
 }
@@ -84,9 +102,8 @@ impl Cache {
             ways,
             set_mask: sets - 1,
             tags: vec![INVALID_TAG; n],
-            stamps: vec![0; n],
-            flags: vec![0; n],
-            tick: 0,
+            meta: vec![0; n],
+            clocks: vec![0; sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -102,13 +119,13 @@ impl Cache {
     }
 
     #[inline(always)]
-    fn set_base(&self, line: u64) -> usize {
-        ((line & self.set_mask) as usize) * self.ways
+    fn set_of(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize
     }
 
     #[inline(always)]
     fn find(&self, line: u64) -> Option<usize> {
-        let base = self.set_base(line);
+        let base = self.set_of(line) * self.ways;
         // One slice reborrow, one pass: the compiler hoists the bounds
         // check and vectorises the tag compare.
         let tags = &self.tags[base..base + self.ways];
@@ -120,6 +137,35 @@ impl Cache {
         None
     }
 
+    /// Takes a fresh tick of `set`'s LRU clock, shifted into stamp
+    /// position.
+    #[inline(always)]
+    fn tick(&mut self, set: usize) -> u16 {
+        let mut clock = self.clocks[set];
+        if clock == STAMP_MAX {
+            clock = self.renumber(set);
+        }
+        clock += 1;
+        self.clocks[set] = clock;
+        clock << STAMP_SHIFT
+    }
+
+    /// Rewrites the valid stamps of `set` to `1..=k` in their current
+    /// order, keeping the flags, and returns `k`. Valid stamps are
+    /// distinct, so the order, and every later victim, is unchanged.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self, set: usize) -> u16 {
+        let base = set * self.ways;
+        let mut order: Vec<usize> =
+            (base..base + self.ways).filter(|&i| self.tags[i] != INVALID_TAG).collect();
+        order.sort_unstable_by_key(|&i| self.meta[i]);
+        for (rank, &i) in (1..).zip(&order) {
+            self.meta[i] = (rank << STAMP_SHIFT) | (self.meta[i] & FLAG_MASK);
+        }
+        order.len() as u16
+    }
+
     /// True if the line is resident. Does not disturb LRU or statistics.
     pub fn contains(&self, line: u64) -> bool {
         self.find(line).is_some()
@@ -128,13 +174,13 @@ impl Cache {
     /// Demand access. On a hit, updates LRU, clears the prefetched bit and
     /// reports whether this was the first use of a prefetched line.
     pub fn access(&mut self, line: u64) -> Option<HitInfo> {
-        self.tick += 1;
         match self.find(line) {
             Some(idx) => {
-                self.stamps[idx] = self.tick;
-                let first_use = self.flags[idx] & FLAG_PREFETCHED != 0;
+                let stamp = self.tick(self.set_of(line));
+                let m = self.meta[idx];
+                let first_use = m & FLAG_PREFETCHED != 0;
+                self.meta[idx] = stamp | (m & FLAG_DIRTY);
                 if first_use {
-                    self.flags[idx] &= !FLAG_PREFETCHED;
                     self.stats.prefetch_used += 1;
                 }
                 self.stats.hits += 1;
@@ -163,7 +209,7 @@ impl Cache {
     /// Marks a resident line dirty (no-op if absent).
     pub fn mark_dirty(&mut self, line: u64) {
         if let Some(idx) = self.find(line) {
-            self.flags[idx] |= FLAG_DIRTY;
+            self.meta[idx] |= FLAG_DIRTY;
         }
     }
 
@@ -172,15 +218,14 @@ impl Cache {
     /// data.
     pub fn invalidate_line(&mut self, line: u64) -> Option<Eviction> {
         if let Some(idx) = self.find(line) {
-            let unused_prefetch = self.flags[idx] & FLAG_PREFETCHED != 0;
+            let m = self.meta[idx];
+            let unused_prefetch = m & FLAG_PREFETCHED != 0;
             if unused_prefetch {
                 self.stats.prefetch_wasted += 1;
             }
-            let dirty = self.flags[idx] & FLAG_DIRTY != 0;
             self.tags[idx] = INVALID_TAG;
-            self.flags[idx] = 0;
-            self.stamps[idx] = 0;
-            Some(Eviction { line, dirty, unused_prefetch })
+            self.meta[idx] = 0;
+            Some(Eviction { line, dirty: m & FLAG_DIRTY != 0, unused_prefetch })
         } else {
             None
         }
@@ -207,39 +252,41 @@ impl Cache {
         alloc_mask: u64,
         protected: &dyn Fn(u64) -> bool,
     ) -> Option<Eviction> {
-        self.tick += 1;
-        let base = self.set_base(line);
+        let set = self.set_of(line);
+        let base = set * self.ways;
         let usable = alloc_mask & Self::low_ways_mask(self.ways);
         debug_assert!(usable != 0, "allocation mask selects no way");
 
         // Single packed pass over the set: detect a hit on `line`, note the
         // first usable invalid way, and track the LRU (min-stamp) usable
-        // way all in one sweep over the contiguous tag/stamp rows, instead
-        // of a `find` pass followed by a victim-selection pass.
+        // way all in one sweep over the contiguous tag/metadata rows,
+        // instead of a `find` pass followed by a victim-selection pass.
+        // Metadata compares as a whole: the stamp sits above the flags and
+        // valid stamps are distinct. Keys widen to `u32` so a stamp at the
+        // top of the range still beats the sentinel.
         let mut invalid_way: Option<usize> = None;
         let mut lru_way = usize::MAX;
-        let mut lru_stamp = u64::MAX;
+        let mut lru_key = u32::MAX;
         let tags = &self.tags[base..base + self.ways];
-        let stamps = &self.stamps[base..base + self.ways];
+        let meta = &self.meta[base..base + self.ways];
         for (w, &t) in tags.iter().enumerate() {
             if t == line {
                 // Already present (e.g. demand fill racing a prefetch
                 // fill): refresh recency; never *set* the prefetched bit on
                 // a line that a demand already claimed.
                 let idx = base + w;
-                self.stamps[idx] = self.tick;
-                if !prefetched {
-                    self.flags[idx] &= !FLAG_PREFETCHED;
-                }
+                let stamp = self.tick(set);
+                let keep = if prefetched { FLAG_MASK } else { FLAG_DIRTY };
+                self.meta[idx] = stamp | (self.meta[idx] & keep);
                 return None;
             }
             if usable & (1 << w) != 0 {
                 if t == INVALID_TAG && invalid_way.is_none() {
                     invalid_way = Some(w);
                 }
-                let s = stamps[w];
-                if s < lru_stamp {
-                    lru_stamp = s;
+                let key = u32::from(meta[w]);
+                if key < lru_key {
+                    lru_key = key;
                     lru_way = w;
                 }
             }
@@ -263,14 +310,14 @@ impl Cache {
                 let mut tried: u64 = 1 << lru_way;
                 let victim = loop {
                     let mut best: Option<usize> = None;
-                    let mut best_stamp = u64::MAX;
+                    let mut best_key = u32::MAX;
                     for w in 0..self.ways {
                         if usable & (1 << w) == 0 || tried & (1 << w) != 0 {
                             continue;
                         }
-                        let s = self.stamps[base + w];
-                        if s < best_stamp {
-                            best_stamp = s;
+                        let key = u32::from(self.meta[base + w]);
+                        if key < best_key {
+                            best_key = key;
                             best = Some(w);
                         }
                     }
@@ -285,23 +332,20 @@ impl Cache {
         };
 
         let evicted = if self.tags[idx] != INVALID_TAG {
-            let unused_prefetch = self.flags[idx] & FLAG_PREFETCHED != 0;
+            let m = self.meta[idx];
+            let unused_prefetch = m & FLAG_PREFETCHED != 0;
             if unused_prefetch {
                 self.stats.prefetch_wasted += 1;
             }
             self.stats.evictions += 1;
-            Some(Eviction {
-                line: self.tags[idx],
-                dirty: self.flags[idx] & FLAG_DIRTY != 0,
-                unused_prefetch,
-            })
+            Some(Eviction { line: self.tags[idx], dirty: m & FLAG_DIRTY != 0, unused_prefetch })
         } else {
             None
         };
 
+        let stamp = self.tick(set);
         self.tags[idx] = line;
-        self.stamps[idx] = self.tick;
-        self.flags[idx] = if prefetched { FLAG_PREFETCHED } else { 0 };
+        self.meta[idx] = stamp | if prefetched { FLAG_PREFETCHED } else { 0 };
         self.stats.insertions += 1;
         evicted
     }
@@ -319,8 +363,8 @@ impl Cache {
     /// Empties the cache, keeping statistics.
     pub fn flush(&mut self) {
         self.tags.fill(INVALID_TAG);
-        self.flags.fill(0);
-        self.stamps.fill(0);
+        self.meta.fill(0);
+        self.clocks.fill(0);
     }
 
     /// How many lines of the given set are currently valid. Test helper.
@@ -463,6 +507,34 @@ mod tests {
         assert!(c.probe_for_prefetch(5));
         let h = c.access(5).unwrap();
         assert!(h.first_use_of_prefetch, "probe must not clear the prefetched bit");
+    }
+
+    /// The tag store is most of a many-core `System`'s memory and of every
+    /// snapshot of it: 10 bytes per way plus 2 per set.
+    #[test]
+    fn scaled_llc_costs_ten_bytes_per_way_and_two_per_set() {
+        let geom = crate::config::SystemConfig::scaled(8).llc;
+        let c = Cache::new(geom);
+        // Exhaustive, so a new per-way or per-set vector must be counted here.
+        let Cache { sets: _, ways: _, set_mask: _, tags, meta, clocks, stats: _ } = &c;
+        let heap = tags.capacity() * std::mem::size_of::<u64>()
+            + meta.capacity() * std::mem::size_of::<u16>()
+            + clocks.capacity() * std::mem::size_of::<u16>();
+        assert_eq!(geom.lines(), 40_960);
+        assert_eq!(heap as u64, 10 * geom.lines() + 2 * geom.sets());
+    }
+
+    /// Tags stay exact `u64`s: a 1024-core machine puts line numbers above
+    /// 2^32, and two lines differing only there must not alias.
+    #[test]
+    fn tags_above_32_bits_stay_distinct() {
+        let mut c = small();
+        let (lo, hi) = (set0_line(1), set0_line(1) | 1 << 40);
+        c.insert(lo, false, u64::MAX);
+        assert!(!c.contains(hi));
+        c.insert(hi, false, u64::MAX);
+        assert!(c.contains(lo) && c.contains(hi));
+        assert_eq!(c.set_occupancy(0), 2);
     }
 
     #[test]

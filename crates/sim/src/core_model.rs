@@ -298,7 +298,7 @@ impl Core {
             if !is_load {
                 self.l1.mark_dirty(line);
             }
-            self.issue_prefetches(llc, cat, mem, presence, inval);
+            self.issue_prefetches(llc, mem);
             return;
         }
         self.pmu.l1d_misses += 1;
@@ -353,7 +353,7 @@ impl Core {
             self.window.push_back((completion, beyond_l2, line));
         }
 
-        self.issue_prefetches(llc, cat, mem, presence, inval);
+        self.issue_prefetches(llc, mem);
     }
 
     /// Demand miss beyond L1: walk L2 → LLC → memory, install immediately,
@@ -402,15 +402,7 @@ impl Core {
     /// requests that miss L1 travel to L2 and — as on hardware — train the
     /// L2 prefetchers there, which may append further candidates; the loop
     /// keeps draining until the buffer is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_prefetches(
-        &mut self,
-        llc: &mut Cache,
-        cat: &CatState,
-        mem: &mut MemoryController,
-        _presence: &mut Presence,
-        inval: &mut Vec<u64>,
-    ) {
+    fn issue_prefetches(&mut self, llc: &mut Cache, mem: &mut MemoryController) {
         let mut buf = std::mem::take(&mut self.pf_buf);
         let mut i = 0;
         while i < buf.len() {
@@ -418,10 +410,10 @@ impl Core {
             i += 1;
             match req.source {
                 PrefetcherKind::L1NextLine | PrefetcherKind::L1IpStride => {
-                    self.issue_l1_prefetch(req.line, &mut buf, llc, cat, mem, inval)
+                    self.issue_l1_prefetch(req.line, &mut buf, llc, mem)
                 }
                 PrefetcherKind::L2Streamer | PrefetcherKind::L2Adjacent => {
-                    self.issue_l2_prefetch(req.line, llc, cat, mem, inval)
+                    self.issue_l2_prefetch(req.line, llc, mem)
                 }
             }
         }
@@ -434,15 +426,14 @@ impl Core {
         self.mshr_lines.contains(&line)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Issues one L1 prefetch request. CAT applies when the fill lands
+    /// (`drain_mshr`), not here.
     fn issue_l1_prefetch(
         &mut self,
         line: u64,
         buf: &mut Vec<PrefetchRequest>,
         llc: &mut Cache,
-        cat: &CatState,
         mem: &mut MemoryController,
-        _inval: &mut Vec<u64>,
     ) {
         self.pmu.l1_pf_req += 1;
         if self.l1.contains(line) || self.mshr_has(line) || self.mshr.len() >= self.mshr_capacity {
@@ -495,17 +486,9 @@ impl Core {
                 },
             );
         }
-        let _ = cat; // CAT applies at fill time (drain_mshr).
     }
 
-    fn issue_l2_prefetch(
-        &mut self,
-        line: u64,
-        llc: &mut Cache,
-        cat: &CatState,
-        mem: &mut MemoryController,
-        _inval: &mut Vec<u64>,
-    ) {
+    fn issue_l2_prefetch(&mut self, line: u64, llc: &mut Cache, mem: &mut MemoryController) {
         self.pmu.l2_pf_req += 1;
         if self.l2.contains(line) || self.mshr_has(line) || self.mshr.len() >= self.mshr_capacity {
             return;
@@ -542,7 +525,6 @@ impl Core {
                 },
             );
         }
-        let _ = cat;
     }
 
     fn push_fill(&mut self, line: u64, fill: PendingFill) {
