@@ -1,8 +1,12 @@
 //! Substrate performance: simulated cycles per wall-clock second across
-//! core counts. This bounds how long the figure-regeneration suite takes
-//! and documents the cost of the simulation approach itself.
+//! core counts and socket layouts. This bounds how long the
+//! figure-regeneration suite takes and documents the cost of the
+//! simulation approach itself. The `grid_4x8` case runs four sockets with
+//! their own memory controllers, which `System::run` steps concurrently
+//! on a multi-CPU host; `grid_4x8_shared` is the same machine behind one
+//! shared controller, which it steps in lockstep on one thread.
 
-use cmm_sim::config::SystemConfig;
+use cmm_sim::config::{SystemConfig, Topology};
 use cmm_sim::System;
 use cmm_workloads::build_mixes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -24,6 +28,27 @@ fn sim_throughput(c: &mut Criterion) {
                         .into_iter()
                         .take(cores)
                         .collect::<Vec<_>>();
+                    System::new(cfg, ws)
+                },
+                |mut sys| {
+                    sys.run(cycles);
+                    sys
+                },
+                criterion::BatchSize::LargeInput,
+            );
+        });
+    }
+    for (name, topo) in [("grid_4x8", "4x8"), ("grid_4x8_shared", "4x8@shared")] {
+        let topo: Topology = topo.parse().expect("a valid topology");
+        let cycles = 200_000u64;
+        g.throughput(Throughput::Elements(cycles * topo.total_cores() as u64));
+        g.bench_function(name, |b| {
+            let mix = build_mixes(42, 1)[1].tiled(topo.total_cores());
+            b.iter_batched(
+                || {
+                    let mut cfg = SystemConfig::scaled(topo.cores_per_socket);
+                    cfg.set_topology(topo);
+                    let ws = mix.instantiate(cfg.llc.size_bytes);
                     System::new(cfg, ws)
                 },
                 |mut sys| {

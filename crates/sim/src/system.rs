@@ -1,5 +1,6 @@
-//! The whole machine: N cores, a shared CAT-partitionable LLC, and the
-//! memory controller, stepped in loosely-synchronised quanta.
+//! The whole machine: one or more sockets, each with its cores, a
+//! CAT-partitionable LLC and (per topology) its own memory controller,
+//! stepped in loosely-synchronised quanta.
 //!
 //! Cores advance their private clocks independently within one quantum
 //! (default 1000 cycles) and re-synchronise at quantum boundaries, where
@@ -7,6 +8,15 @@
 //! private caches. This is the standard relaxed-synchronisation scheme of
 //! fast multicore simulators; at 1000-cycle quanta the skew is far below
 //! the epoch lengths the CMM controller operates on.
+//!
+//! A socket that owns its memory controller shares no mutable state with
+//! any other socket, so [`System::run`] splits such sockets into one
+//! share per host thread and runs each share through the whole call on
+//! its own thread. Sockets behind one shared controller interact through
+//! it and run together on the calling thread. Either way each quantum
+//! steps every socket's cores and then drains every socket's
+//! back-invalidations, and the results are bit-identical at any thread
+//! count.
 
 use crate::cache::Cache;
 use crate::config::SystemConfig;
@@ -20,6 +30,7 @@ use crate::pmu::Pmu;
 use crate::presence::Presence;
 use crate::workload::Workload;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 static SIMULATED_CORE_CYCLES: AtomicU64 = AtomicU64::new(0);
 
@@ -99,26 +110,79 @@ pub struct System {
     now: u64,
 }
 
-/// Inclusive back-invalidation of one socket's queued LLC victims,
-/// targeted at the cores whose private caches actually hold a copy (the
-/// presence holder mask) instead of broadcasting to every core. The
-/// evicting core already dropped its own copy at fill time, so most
-/// victims have an empty mask and cost one lookup. `cores` is the
-/// socket's slice, indexed by socket-local id.
-fn drain_invalidations(
-    cores: &mut [Core],
-    mem: &mut MemoryController,
-    presence: &mut Presence,
-    inval: &mut Vec<u64>,
-) {
-    for line in inval.drain(..) {
-        let mut mask = presence.holders(line);
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            cores[i].back_invalidate(line, mem, presence);
+impl SocketState {
+    /// The controller serving this socket: its own, else `shared`.
+    fn mem<'a>(
+        mem: &'a mut Option<MemoryController>,
+        shared: Option<&'a mut MemoryController>,
+    ) -> &'a mut MemoryController {
+        mem.as_mut().or(shared).expect("a controller")
+    }
+
+    /// Steps this socket's cores (`cores`, indexed by socket-local id) to
+    /// `qend`. `shared` is the machine-wide controller, if any.
+    fn run_cores(&mut self, cores: &mut [Core], qend: u64, shared: Option<&mut MemoryController>) {
+        let SocketState { llc, cat, presence, inval, mem } = self;
+        let mem = Self::mem(mem, shared);
+        for core in cores {
+            core.run_until(qend, llc, cat, mem, presence, inval);
         }
     }
+
+    /// Inclusive back-invalidation of the queued LLC victims, targeted at
+    /// the cores whose private caches actually hold a copy (the presence
+    /// holder mask) instead of broadcasting to every core. The evicting
+    /// core already dropped its own copy at fill time, so most victims
+    /// have an empty mask and cost one lookup.
+    fn drain_invalidations(&mut self, cores: &mut [Core], shared: Option<&mut MemoryController>) {
+        let SocketState { presence, inval, mem, .. } = self;
+        let mem = Self::mem(mem, shared);
+        for line in inval.drain(..) {
+            let mut mask = presence.holders(line);
+            while mask != 0 {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                cores[i].back_invalidate(line, mem, presence);
+            }
+        }
+    }
+}
+
+/// One socket and its cores, in socket-local order.
+type Domain<'a> = (&'a mut SocketState, &'a mut [Core]);
+
+/// Runs `domains` through the quanta from `now` to `target` in lockstep:
+/// each quantum steps every socket's cores, then drains every socket's
+/// back-invalidation queue. `shared` is the machine-wide controller, if
+/// any; sockets without one of their own queue at it in socket order.
+///
+/// Kept out of line so that the hot loop (`Core::run_until` and the
+/// access path it inlines) is compiled once, whichever path of
+/// [`System::run`] calls it.
+#[inline(never)]
+fn run_lockstep(
+    domains: &mut [Domain<'_>],
+    mut now: u64,
+    target: u64,
+    quantum: u64,
+    mut shared: Option<&mut MemoryController>,
+) {
+    while now < target {
+        let qend = (now + quantum).min(target);
+        for (sock, cores) in domains.iter_mut() {
+            sock.run_cores(cores, qend, shared.as_deref_mut());
+        }
+        for (sock, cores) in domains.iter_mut() {
+            sock.drain_invalidations(cores, shared.as_deref_mut());
+        }
+        now = qend;
+    }
+}
+
+/// Host threads available to one [`System::run`], read once per process.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl System {
@@ -181,44 +245,54 @@ impl System {
 
     /// Mutable access to the controller serving `socket`.
     fn mem_for_mut(&mut self, socket: usize) -> &mut MemoryController {
-        self.sockets[socket].mem.as_mut().or(self.shared_mem.as_mut()).expect("a controller")
+        SocketState::mem(&mut self.sockets[socket].mem, self.shared_mem.as_mut())
     }
 
     /// Advances the whole machine by `cycles` cycles.
+    ///
+    /// Every quantum steps the cores of each socket to the quantum's end
+    /// and then drains each socket's back-invalidation queue. Sockets
+    /// behind one shared controller interact through it, so they run on
+    /// the calling thread in that lockstep order. Sockets with their own
+    /// controller share no mutable state, so the order among them is
+    /// unobservable: they are split into `min(sockets,
+    /// available_parallelism())` contiguous shares, and each share runs
+    /// through the whole call on its own thread — the calling thread
+    /// takes the first, one scoped thread each of the others. A single
+    /// socket, or a host with one CPU, spawns no thread. Either way the
+    /// result is bit-identical to stepping all sockets in lockstep on one
+    /// thread.
+    ///
+    /// A panic in any socket's workload propagates from this call with
+    /// its original payload.
     pub fn run(&mut self, cycles: u64) {
         SIMULATED_CORE_CYCLES.fetch_add(cycles * self.cores.len() as u64, Ordering::Relaxed);
-        let target = self.now + cycles;
-        let cps = self.cfg.topology.cores_per_socket;
-        while self.now < target {
-            let qend = (self.now + self.cfg.quantum).min(target);
-            {
-                let System { cores, sockets, shared_mem, .. } = self;
-                for (s, sock) in sockets.iter_mut().enumerate() {
-                    let SocketState { llc, cat, presence, inval, mem } = sock;
-                    let mem = mem.as_mut().or(shared_mem.as_mut()).expect("a controller");
-                    for core in &mut cores[s * cps..(s + 1) * cps] {
-                        core.run_until(qend, llc, cat, mem, presence, inval);
-                    }
-                }
-            }
-            self.apply_back_invalidations();
-            self.now = qend;
-        }
-    }
-
-    /// Drains every socket's deferred back-invalidation queue (see
-    /// [`drain_invalidations`]); called at quantum boundaries.
-    fn apply_back_invalidations(&mut self) {
+        let (from, target, quantum) = (self.now, self.now + cycles, self.cfg.quantum);
         let cps = self.cfg.topology.cores_per_socket;
         let System { cores, sockets, shared_mem, .. } = self;
-        for (s, sock) in sockets.iter_mut().enumerate() {
-            if sock.inval.is_empty() {
-                continue;
+        let mut domains: Vec<Domain> = sockets.iter_mut().zip(cores.chunks_mut(cps)).collect();
+        match shared_mem {
+            Some(mem) => run_lockstep(&mut domains, from, target, quantum, Some(mem)),
+            None => {
+                let share = domains.len().div_ceil(domains.len().min(host_threads()));
+                let mut shares = domains.chunks_mut(share);
+                let first = shares.next().expect("at least one socket");
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = shares
+                        .map(|s| scope.spawn(move || run_lockstep(s, from, target, quantum, None)))
+                        .collect();
+                    run_lockstep(first, from, target, quantum, None);
+                    // Re-raise a worker's own payload: the scope's generic
+                    // "a scoped thread panicked" would replace its message.
+                    for h in handles {
+                        if let Err(payload) = h.join() {
+                            std::panic::resume_unwind(payload);
+                        }
+                    }
+                });
             }
-            let SocketState { presence, inval, mem, .. } = sock;
-            let mem = mem.as_mut().or(shared_mem.as_mut()).expect("a controller");
-            drain_invalidations(&mut cores[s * cps..(s + 1) * cps], mem, presence, inval);
         }
+        self.now = target;
     }
 
     /// Captures the machine's complete state — every core's caches,
@@ -498,6 +572,7 @@ impl CoreControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Topology;
     use crate::workload::{Idle, Op};
 
     struct Seq {
@@ -696,6 +771,12 @@ mod tests {
         Box::new(SeqAt { base, pos: 0, span })
     }
 
+    /// Drains socket 0's back-invalidation queue, as [`System::run`]
+    /// does at every quantum boundary.
+    fn drain_socket_0(sys: &mut System) {
+        sys.sockets[0].drain_invalidations(&mut sys.cores, sys.shared_mem.as_mut());
+    }
+
     #[test]
     fn back_invalidation_hits_only_the_holding_core() {
         // Two cores with disjoint address ranges: every cached line has
@@ -719,7 +800,7 @@ mod tests {
         // Apply an inclusive back-invalidation for the victim, as
         // System::run does for LLC victims at quantum boundaries.
         sys.sockets[0].inval.push(victim);
-        sys.apply_back_invalidations();
+        drain_socket_0(&mut sys);
 
         assert!(!sys.cores[0].l1.contains(victim), "victim must leave the holder's L1");
         assert!(!sys.cores[0].l2.contains(victim), "victim must leave the holder's L2");
@@ -742,7 +823,7 @@ mod tests {
             .find(|&l| sys.presence_holders(l) == 0b11)
             .expect("some line must be resident in both private caches");
         sys.sockets[0].inval.push(shared);
-        sys.apply_back_invalidations();
+        drain_socket_0(&mut sys);
         for c in 0..2 {
             assert!(!sys.cores[c].l1.contains(shared));
             assert!(!sys.cores[c].l2.contains(shared));
@@ -796,6 +877,87 @@ mod tests {
             "inclusion leaks must stay a rare in-flight-fill artifact: \
              {inclusion_violations} of {resident} resident lines"
         );
+    }
+
+    /// Records the host thread that generates each op into `seen`.
+    struct ThreadProbe {
+        seen: std::sync::Arc<std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>>,
+    }
+    impl Workload for ThreadProbe {
+        fn next(&mut self) -> Op {
+            self.seen.lock().unwrap().insert(std::thread::current().id());
+            Op::Compute { cycles: 10 }
+        }
+        fn mlp(&self) -> u32 {
+            1
+        }
+        fn reset(&mut self) {}
+        fn name(&self) -> &str {
+            "thread-probe"
+        }
+    }
+
+    /// The distinct host threads one `run` call steps `topo`'s cores on.
+    fn threads_used(topo: Topology) -> std::collections::HashSet<std::thread::ThreadId> {
+        let seen = std::sync::Arc::default();
+        let mut cfg = SystemConfig::tiny(topo.total_cores());
+        cfg.set_topology(topo);
+        let wl = (0..topo.total_cores())
+            .map(|_| Box::new(ThreadProbe { seen: std::sync::Arc::clone(&seen) }) as _)
+            .collect();
+        System::new(cfg, wl).run(5_000);
+        let seen = seen.lock().unwrap().clone();
+        seen
+    }
+
+    #[test]
+    fn single_socket_and_shared_controller_machines_run_on_the_calling_thread() {
+        let caller = std::collections::HashSet::from([std::thread::current().id()]);
+        let mut shared = Topology::grid(4, 2);
+        shared.mem_per_socket = false;
+        for topo in [Topology::single(4), Topology::grid(1, 4), shared] {
+            assert_eq!(threads_used(topo), caller, "{topo:?} must not spawn a thread");
+        }
+    }
+
+    #[test]
+    fn independent_sockets_spread_over_the_host_threads() {
+        // One share per host thread, up to one per socket; the caller
+        // always runs the first. On a one-CPU host that is the caller
+        // alone.
+        let used = threads_used(Topology::grid(4, 2));
+        assert!(used.contains(&std::thread::current().id()));
+        assert_eq!(used.len(), 4.min(host_threads()));
+    }
+
+    /// Panics with a fixed message on its first op.
+    struct Boom;
+    impl Workload for Boom {
+        fn next(&mut self) -> Op {
+            panic!("boom on socket 1");
+        }
+        fn mlp(&self) -> u32 {
+            1
+        }
+        fn reset(&mut self) {}
+        fn name(&self) -> &str {
+            "boom"
+        }
+    }
+
+    #[test]
+    fn a_worker_socket_panic_keeps_its_message() {
+        // Socket 1 runs on a worker thread whenever the host has two
+        // CPUs; its payload must reach the caller unchanged rather than
+        // as the scope's generic "a scoped thread panicked".
+        let mut cfg = SystemConfig::tiny(4);
+        cfg.set_topology(Topology::grid(2, 2));
+        let wl: Vec<Box<dyn Workload + Send>> =
+            vec![seq(1 << 20), seq(1 << 20), Box::new(Idle), Box::new(Boom)];
+        let mut sys = System::new(cfg, wl);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run(10_000)))
+            .expect_err("the socket-1 workload panics");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom on socket 1"));
     }
 
     #[test]

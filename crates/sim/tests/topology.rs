@@ -1,7 +1,8 @@
-//! Multi-socket topology invariants on a tiny 2x2 machine: the
-//! cross-socket penalty of shared-controller layouts, per-socket CAT
-//! isolation, snapshot/restore equality, and a 1xN-vs-Nx1 equivalence
-//! property for non-interacting workloads.
+//! Multi-socket topology invariants on tiny machines: the cross-socket
+//! penalty of shared-controller layouts, per-socket CAT isolation,
+//! snapshot/restore equality, a 1xN-vs-Nx1 equivalence property for
+//! non-interacting workloads, and a differential property pinning each
+//! socket of a per-socket-controller grid to a standalone machine.
 
 use cmm_sim::config::{SystemConfig, Topology};
 use cmm_sim::msr::{IA32_L3_QOS_MASK_BASE, IA32_PQR_ASSOC};
@@ -209,5 +210,89 @@ proptest! {
         let flat = pmu_after(1, n, &seeds[..n], window);
         let sharded = pmu_after(n, 1, &seeds[..n], window);
         prop_assert_eq!(flat, sharded);
+    }
+}
+
+/// Workload `i` of a socket in the grid differential: a cache-resident
+/// loop, a loop overflowing the private caches, or a prefetchable stream
+/// that thrashes the socket's LLC (and so back-invalidates its
+/// neighbours' private lines), each in its own address window.
+fn grid_workload(socket: usize, i: usize, seed: u64) -> Box<dyn Workload + Send> {
+    let lines = [12, 200, 1 << 16][(seed % 3) as usize];
+    Box::new(Loop {
+        base: ((socket * 8 + i + 1) as u64) << 36,
+        lines,
+        pos: seed % lines,
+        compute: (seed / 3 % 4) as u32,
+        phase: false,
+    })
+}
+
+/// Programs socket-local CAT state: CLOS 1 gets a mask chosen by `seed`
+/// and local core `seed % cores` joins it. `core0` is the socket's first
+/// global core id.
+fn program_cat(sys: &mut System, core0: usize, cores: usize, seed: u64) {
+    let mask = [0b0001, 0b0011, 0b0110, 0b1100][(seed % 4) as usize];
+    sys.write_msr(core0, IA32_L3_QOS_MASK_BASE + 1, mask).unwrap();
+    sys.write_msr(core0 + (seed as usize % cores), IA32_PQR_ASSOC, 1).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+    /// Each socket of an S x M grid with its own memory controller must
+    /// behave exactly like an M-core single-socket machine running the
+    /// same workloads under the same CAT programming. The grid advances
+    /// in many short `run` calls, crosses a `snapshot()`/`restore()`, and
+    /// steps several sockets per call (concurrently, on a multi-CPU host).
+    /// The references advance one quantum per `run` call, so they never
+    /// rely on the in-call quantum loop the grid exercises.
+    #[test]
+    fn grid_sockets_match_standalone_machines(
+        sockets in 2usize..=3,
+        cores in 2usize..=4,
+        seeds in proptest::collection::vec(0u64..1000, 12),
+        cat_seeds in proptest::collection::vec(0u64..1000, 3),
+        windows in proptest::collection::vec(1u64..2_500, 16),
+        restore_at in 0usize..16,
+    ) {
+        let mut cfg = SystemConfig::tiny(sockets * cores);
+        cfg.set_topology(Topology::grid(sockets, cores));
+        let quantum = cfg.quantum;
+        let wl = (0..sockets * cores)
+            .map(|c| grid_workload(c / cores, c % cores, seeds[c]))
+            .collect();
+        let mut grid = System::new(cfg, wl);
+        let mut refs: Vec<System> = (0..sockets)
+            .map(|s| {
+                let wl = (0..cores).map(|i| grid_workload(s, i, seeds[s * cores + i])).collect();
+                let mut sys = System::new(SystemConfig::tiny(cores), wl);
+                program_cat(&mut sys, 0, cores, cat_seeds[s]);
+                sys
+            })
+            .collect();
+        for (s, &seed) in cat_seeds.iter().enumerate().take(sockets) {
+            program_cat(&mut grid, s * cores, cores, seed);
+        }
+        for (k, &w) in windows.iter().enumerate() {
+            if k == restore_at {
+                grid = grid.snapshot().expect("loop workloads are cloneable").restore();
+            }
+            grid.run(w);
+            for r in &mut refs {
+                let mut left = w;
+                while left > 0 {
+                    let q = left.min(quantum);
+                    r.run(q);
+                    left -= q;
+                }
+            }
+        }
+        for (s, r) in refs.iter().enumerate() {
+            for i in 0..cores {
+                let c = s * cores + i;
+                prop_assert_eq!(grid.pmu(c), r.pmu(i), "socket {} core {} PMU", s, i);
+                prop_assert_eq!(grid.traffic(c), r.traffic(i), "socket {} core {} traffic", s, i);
+            }
+        }
     }
 }

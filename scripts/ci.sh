@@ -463,4 +463,12 @@ step "repro journal readers smoke (summary, --csv and self-diff on every smoke j
 step "repro soak (chaos: panic retry, failure isolation, kill + resume)" \
     ./target/release/repro soak --jobs "$SMOKE_JOBS"
 
+# Golden gate: one untraced and one traced rep of every benchmark
+# workload at seed 42. Exit 0 means every cell digest matches
+# benchmark/golden/seed-42.txt, so any change to simulated results fails
+# here. This only runs the benchmark; it never blesses.
+step "benchmark golden gate (seed 42, 1 rep, every digest)" \
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark -- --seed 42 --reps 1
+
 echo "CI OK"
