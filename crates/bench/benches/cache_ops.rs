@@ -1,12 +1,15 @@
 //! Hot-path microbenchmarks of the set-associative cache: hits, misses,
-//! masked (CAT) insertion and QBS victim selection.
+//! masked (CAT) insertion and QBS victim selection from the LLC's holder
+//! column.
 
 use cmm_sim::cache::Cache;
 use cmm_sim::config::CacheGeometry;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+const LLC: CacheGeometry = CacheGeometry { size_bytes: 2560 << 10, ways: 20, hit_latency: 40 };
+
 fn llc() -> Cache {
-    Cache::new(CacheGeometry { size_bytes: 2560 << 10, ways: 20, hit_latency: 40 })
+    Cache::new(LLC)
 }
 
 fn cache_ops(c: &mut Criterion) {
@@ -46,12 +49,18 @@ fn cache_ops(c: &mut Criterion) {
         });
     });
 
+    // Every even line is held by one of 8 cores' L2s, so half the ways of
+    // a full set are protected.
     g.bench_function("insert_qbs_half_protected", |b| {
-        let mut cache = llc();
+        let mut cache = Cache::with_holders(LLC, 8);
         let mut line = 0u64;
         b.iter(|| {
             line += 1;
-            std::hint::black_box(cache.insert_qbs(line, false, u64::MAX, &|l| l % 2 == 0))
+            let fill = cache.fill(line, false, u64::MAX, true);
+            if line.is_multiple_of(2) {
+                cache.set_holders(fill.way, 1 << (line / 2 % 8));
+            }
+            std::hint::black_box(fill)
         });
     });
 

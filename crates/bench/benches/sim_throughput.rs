@@ -5,6 +5,9 @@
 //! their own memory controllers, which `System::run` steps concurrently
 //! on a multi-CPU host; `grid_4x8_shared` is the same machine behind one
 //! shared controller, which it steps in lockstep on one thread.
+//! `grid_4x32` is the benchmark's `scale128` machine: 32 cores' L2s per
+//! socket cover most of its LLC, so nearly every LLC victim choice finds
+//! its LRU way held by an L2.
 
 use cmm_sim::config::{SystemConfig, Topology};
 use cmm_sim::System;
@@ -38,7 +41,9 @@ fn sim_throughput(c: &mut Criterion) {
             );
         });
     }
-    for (name, topo) in [("grid_4x8", "4x8"), ("grid_4x8_shared", "4x8@shared")] {
+    for (name, topo) in
+        [("grid_4x8", "4x8"), ("grid_4x8_shared", "4x8@shared"), ("grid_4x32", "4x32")]
+    {
         let topo: Topology = topo.parse().expect("a valid topology");
         let cycles = 200_000u64;
         g.throughput(Throughput::Elements(cycles * topo.total_cores() as u64));

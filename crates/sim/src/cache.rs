@@ -3,7 +3,8 @@
 //!
 //! One [`Cache`] instance models any of L1D, L2 or the shared LLC; the
 //! level-specific behaviour (who triggers which prefetcher, inclusive
-//! back-invalidation) lives in [`crate::system`].
+//! back-invalidation) lives in [`crate::core_model`], [`crate::presence`]
+//! and [`crate::system`].
 //!
 //! ## CAT semantics
 //!
@@ -15,11 +16,24 @@
 //! all ways unconditionally. This mirrors the hardware exactly and is what
 //! makes *overlapping* partitions (used by the paper and by Dunn) work.
 //!
+//! ## Holder column and QBS
+//!
+//! A cache built with [`Cache::with_holders`] (the LLC) keeps one more
+//! field per way: the bitmask of socket-local cores whose private L2
+//! holds the way's line, maintained by [`crate::presence::Llc`]. A
+//! [`Cache::fill`] with Query-Based Selection reads those masks in the
+//! same pass that scans the set's tags and stamps, and victimises the LRU
+//! usable way no L2 holds, else the plain LRU usable way. Caches built
+//! with [`Cache::new`] (L1 and L2) allocate no column.
+//!
 //! ## Storage
 //!
 //! Each way costs 10 bytes: its exact `u64` line tag and one `u16` of
 //! metadata, whose high 14 bits are an LRU stamp and whose low 2 bits are
-//! the prefetched and dirty flags. Each set adds a `u16` LRU clock. LRU
+//! the prefetched and dirty flags. The holder column, where it exists,
+//! packs each way's mask into `u64` words at the socket's core count
+//! rounded up to a power of two bits: 1 bit per way on a 1-core socket,
+//! 4 bytes on a 32-core one. Each set adds a `u16` LRU clock. LRU
 //! order is only ever compared within one set, every touch of a valid way
 //! takes a fresh tick of its set's clock (so the valid ways of a set hold
 //! distinct stamps), and invalid ways are chosen before any stamp is
@@ -47,9 +61,12 @@ pub struct HitInfo {
     /// demand touch since (the prefetched bit is cleared by that touch).
     /// Used for ground-truth prefetch-accuracy accounting.
     pub first_use_of_prefetch: bool,
+    /// The line's way: its index into the tag store (see [`Cache::way_of`]).
+    pub way: usize,
 }
 
-/// A line pushed out by [`Cache::insert`].
+/// A line pushed out by [`Cache::fill`] or removed by
+/// [`Cache::invalidate_line`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// Line number of the victim.
@@ -58,6 +75,19 @@ pub struct Eviction {
     pub dirty: bool,
     /// The victim was prefetched and never demand-touched (wasted prefetch).
     pub unused_prefetch: bool,
+    /// The victim's holder mask; always 0 in a cache without the column.
+    pub holders: u64,
+}
+
+/// What [`Cache::fill`] did with a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fill {
+    /// The line's way: its index into the tag store (see [`Cache::way_of`]).
+    pub way: usize,
+    /// The line was already resident, so only its recency was refreshed.
+    pub was_resident: bool,
+    /// The line pushed out to make room, if any.
+    pub evicted: Option<Eviction>,
 }
 
 /// Aggregate counters kept by each cache instance.
@@ -84,6 +114,14 @@ pub struct Cache {
     /// Metadata parallel to `tags`: the way's LRU stamp (larger = more
     /// recently used) above [`STAMP_SHIFT`] flag bits. Zero when invalid.
     meta: Vec<u16>,
+    /// Holder masks parallel to `tags` (bit *i* = socket-local core *i*'s
+    /// L2 holds the line; zero when invalid), `1 << holder_log` bits per
+    /// way packed into words; empty when the cache has no holder column.
+    holders: Vec<u64>,
+    /// log2 of the bits in one way's holder mask (0..=6).
+    holder_log: u32,
+    /// The low `1 << holder_log` bits: one way's field in a word.
+    holder_field: u64,
     /// Per-set LRU clock: the last stamp handed out in that set.
     clocks: Vec<u16>,
     /// Counters; public for tests and diagnostics.
@@ -91,18 +129,37 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Builds an empty cache with the given geometry.
+    /// Builds an empty cache with the given geometry and no holder column.
     pub fn new(geom: CacheGeometry) -> Self {
+        Self::build(geom, None)
+    }
+
+    /// Builds an empty cache with a holder column wide enough for
+    /// `cores` (1..=64) holders, as the LLC needs for Query-Based
+    /// Selection and targeted back-invalidation.
+    pub fn with_holders(geom: CacheGeometry, cores: usize) -> Self {
+        assert!((1..=64).contains(&cores), "holder masks are 1 to 64 bits wide");
+        Self::build(geom, Some(cores.next_power_of_two().trailing_zeros()))
+    }
+
+    fn build(geom: CacheGeometry, holder_log: Option<u32>) -> Self {
         geom.validate();
         let sets = geom.sets();
         let ways = geom.ways as usize;
         let n = (sets as usize) * ways;
+        let log = holder_log.unwrap_or(6);
         Cache {
             sets,
             ways,
             set_mask: sets - 1,
             tags: vec![INVALID_TAG; n],
             meta: vec![0; n],
+            holders: match holder_log {
+                Some(log) => vec![0; (n << log).div_ceil(64)],
+                None => Vec::new(),
+            },
+            holder_log: log,
+            holder_field: u64::MAX >> (64 - (1 << log)),
             clocks: vec![0; sets as usize],
             stats: CacheStats::default(),
         }
@@ -123,8 +180,10 @@ impl Cache {
         (line & self.set_mask) as usize
     }
 
+    /// The way holding `line`, as an index into the tag store, if the
+    /// line is resident. Does not disturb LRU or statistics.
     #[inline(always)]
-    fn find(&self, line: u64) -> Option<usize> {
+    pub fn way_of(&self, line: u64) -> Option<usize> {
         let base = self.set_of(line) * self.ways;
         // One slice reborrow, one pass: the compiler hoists the bounds
         // check and vectorises the tag compare.
@@ -168,13 +227,50 @@ impl Cache {
 
     /// True if the line is resident. Does not disturb LRU or statistics.
     pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
+        self.way_of(line).is_some()
+    }
+
+    /// The word holding `way`'s holder mask, and the mask's shift in it.
+    #[inline(always)]
+    fn holder_slot(&self, way: usize) -> (usize, u32) {
+        let per_word_log = 6 - self.holder_log;
+        (way >> per_word_log, ((way & ((1 << per_word_log) - 1)) as u32) << self.holder_log)
+    }
+
+    /// Holder mask of `way` (a [`Cache::way_of`] index). Panics without a
+    /// holder column.
+    #[inline(always)]
+    pub fn holders(&self, way: usize) -> u64 {
+        let (word, shift) = self.holder_slot(way);
+        (self.holders[word] >> shift) & self.holder_field
+    }
+
+    /// Replaces the holder mask of `way` (a [`Cache::way_of`] index) and
+    /// returns the old one. Panics without a holder column.
+    #[inline(always)]
+    pub fn set_holders(&mut self, way: usize, mask: u64) -> u64 {
+        debug_assert!(mask & !self.holder_field == 0, "mask {mask:#x} is wider than the column");
+        let (word, shift) = self.holder_slot(way);
+        let w = &mut self.holders[word];
+        let old = (*w >> shift) & self.holder_field;
+        *w ^= (old ^ mask) << shift;
+        old
+    }
+
+    /// Clears and returns the holder mask of `way`; 0 without a column.
+    #[inline(always)]
+    fn take_holders(&mut self, way: usize) -> u64 {
+        if self.holders.is_empty() {
+            0
+        } else {
+            self.set_holders(way, 0)
+        }
     }
 
     /// Demand access. On a hit, updates LRU, clears the prefetched bit and
     /// reports whether this was the first use of a prefetched line.
     pub fn access(&mut self, line: u64) -> Option<HitInfo> {
-        match self.find(line) {
+        match self.way_of(line) {
             Some(idx) => {
                 let stamp = self.tick(self.set_of(line));
                 let m = self.meta[idx];
@@ -184,7 +280,7 @@ impl Cache {
                     self.stats.prefetch_used += 1;
                 }
                 self.stats.hits += 1;
-                Some(HitInfo { first_use_of_prefetch: first_use })
+                Some(HitInfo { first_use_of_prefetch: first_use, way: idx })
             }
             None => {
                 self.stats.misses += 1;
@@ -197,7 +293,7 @@ impl Cache {
     /// prefetched bit (a prefetcher re-touching its own line is not a use)
     /// and does not update LRU (Intel prefetch probes do not promote).
     pub fn probe_for_prefetch(&mut self, line: u64) -> bool {
-        let hit = self.find(line).is_some();
+        let hit = self.way_of(line).is_some();
         if hit {
             self.stats.hits += 1;
         } else {
@@ -208,16 +304,22 @@ impl Cache {
 
     /// Marks a resident line dirty (no-op if absent).
     pub fn mark_dirty(&mut self, line: u64) {
-        if let Some(idx) = self.find(line) {
-            self.meta[idx] |= FLAG_DIRTY;
+        if let Some(idx) = self.way_of(line) {
+            self.mark_dirty_at(idx);
         }
+    }
+
+    /// Marks the line in `way` (a [`Cache::way_of`] index) dirty.
+    #[inline(always)]
+    pub(crate) fn mark_dirty_at(&mut self, way: usize) {
+        self.meta[way] |= FLAG_DIRTY;
     }
 
     /// Removes a line (inclusive back-invalidation). Returns the removed
     /// line's state if it was resident, so callers can write back dirty
     /// data.
     pub fn invalidate_line(&mut self, line: u64) -> Option<Eviction> {
-        if let Some(idx) = self.find(line) {
+        if let Some(idx) = self.way_of(line) {
             let m = self.meta[idx];
             let unused_prefetch = m & FLAG_PREFETCHED != 0;
             if unused_prefetch {
@@ -225,7 +327,8 @@ impl Cache {
             }
             self.tags[idx] = INVALID_TAG;
             self.meta[idx] = 0;
-            Some(Eviction { line, dirty: m & FLAG_DIRTY != 0, unused_prefetch })
+            let holders = self.take_holders(idx);
+            Some(Eviction { line, dirty: m & FLAG_DIRTY != 0, unused_prefetch, holders })
         } else {
             None
         }
@@ -237,36 +340,43 @@ impl Cache {
     ///
     /// `alloc_mask` must intersect `[0, ways)`; callers pass
     /// `u64::MAX` when partitioning is off.
+    #[inline]
     pub fn insert(&mut self, line: u64, prefetched: bool, alloc_mask: u64) -> Option<Eviction> {
-        self.insert_qbs(line, prefetched, alloc_mask, &|_| false)
+        self.place::<false>(line, prefetched, alloc_mask).evicted
     }
 
-    /// [`Cache::insert`] with Query-Based Selection: ways whose line is
-    /// `protected` (resident in some private cache, per the inclusive-LLC
-    /// QBS of Broadwell) are victimised only if every usable way is
-    /// protected.
-    pub fn insert_qbs(
-        &mut self,
-        line: u64,
-        prefetched: bool,
-        alloc_mask: u64,
-        protected: &dyn Fn(u64) -> bool,
-    ) -> Option<Eviction> {
+    /// [`Cache::insert`] that also reports the line's way and whether it
+    /// was already resident. With `qbs` (Query-Based Selection, which
+    /// needs the holder column) the victim is the LRU usable way whose
+    /// holder mask is 0, else the plain LRU usable way. A newly placed
+    /// line starts with holder mask 0; the victim's mask leaves in its
+    /// [`Eviction`].
+    #[inline]
+    pub fn fill(&mut self, line: u64, prefetched: bool, alloc_mask: u64, qbs: bool) -> Fill {
+        if qbs {
+            self.place::<true>(line, prefetched, alloc_mask)
+        } else {
+            self.place::<false>(line, prefetched, alloc_mask)
+        }
+    }
+
+    #[inline(always)]
+    fn place<const QBS: bool>(&mut self, line: u64, prefetched: bool, alloc_mask: u64) -> Fill {
+        assert!(!QBS || !self.holders.is_empty(), "QBS reads the holder column");
         let set = self.set_of(line);
         let base = set * self.ways;
         let usable = alloc_mask & Self::low_ways_mask(self.ways);
         debug_assert!(usable != 0, "allocation mask selects no way");
 
-        // Single packed pass over the set: detect a hit on `line`, note the
-        // first usable invalid way, and track the LRU (min-stamp) usable
-        // way all in one sweep over the contiguous tag/metadata rows,
-        // instead of a `find` pass followed by a victim-selection pass.
-        // Metadata compares as a whole: the stamp sits above the flags and
-        // valid stamps are distinct. Keys widen to `u32` so a stamp at the
-        // top of the range still beats the sentinel.
-        let mut invalid_way: Option<usize> = None;
-        let mut lru_way = usize::MAX;
-        let mut lru_key = u32::MAX;
+        // Single packed pass over the set: detect a hit on `line`, track
+        // the LRU (min-stamp) usable way and, under QBS, the LRU usable way
+        // no L2 holds. Metadata compares as a whole: the stamp sits above
+        // the flags and valid stamps are distinct. An invalid way has
+        // metadata 0 and no holders, below every valid way, so the first
+        // usable invalid way wins both. Keys widen to `u32` so a stamp at
+        // the top of the range still beats the sentinel.
+        let mut lru = (u32::MAX, usize::MAX);
+        let mut free = (u32::MAX, usize::MAX);
         let tags = &self.tags[base..base + self.ways];
         let meta = &self.meta[base..base + self.ways];
         for (w, &t) in tags.iter().enumerate() {
@@ -278,58 +388,21 @@ impl Cache {
                 let stamp = self.tick(set);
                 let keep = if prefetched { FLAG_MASK } else { FLAG_DIRTY };
                 self.meta[idx] = stamp | (self.meta[idx] & keep);
-                return None;
+                return Fill { way: idx, was_resident: true, evicted: None };
             }
             if usable & (1 << w) != 0 {
-                if t == INVALID_TAG && invalid_way.is_none() {
-                    invalid_way = Some(w);
-                }
                 let key = u32::from(meta[w]);
-                if key < lru_key {
-                    lru_key = key;
-                    lru_way = w;
+                if key < lru.0 {
+                    lru = (key, w);
+                }
+                if QBS && key < free.0 && self.holders(base + w) == 0 {
+                    free = (key, w);
                 }
             }
         }
-
-        // Prefer an invalid way inside the mask, else the LRU way among
-        // unprotected lines, else (all usable ways protected) the plain LRU
-        // way. Candidates are probed in LRU order so `protected` — a
-        // presence-table lookup — runs once for the common case of an
-        // unprotected LRU victim rather than once per way.
-        let idx = if let Some(w) = invalid_way {
-            base + w
-        } else {
-            assert!(lru_way != usize::MAX, "allocation mask selects no way");
-            if !protected(self.tags[base + lru_way]) {
-                base + lru_way
-            } else {
-                // Rare: the LRU victim is held by a private cache. Probe the
-                // remaining candidates in LRU order; if every usable way is
-                // protected, fall back to the plain LRU way.
-                let mut tried: u64 = 1 << lru_way;
-                let victim = loop {
-                    let mut best: Option<usize> = None;
-                    let mut best_key = u32::MAX;
-                    for w in 0..self.ways {
-                        if usable & (1 << w) == 0 || tried & (1 << w) != 0 {
-                            continue;
-                        }
-                        let key = u32::from(self.meta[base + w]);
-                        if key < best_key {
-                            best_key = key;
-                            best = Some(w);
-                        }
-                    }
-                    match best {
-                        None => break lru_way,
-                        Some(w) if !protected(self.tags[base + w]) => break w,
-                        Some(w) => tried |= 1 << w,
-                    }
-                };
-                base + victim
-            }
-        };
+        let w = if free.1 != usize::MAX { free.1 } else { lru.1 };
+        assert!(w != usize::MAX, "allocation mask selects no way");
+        let idx = base + w;
 
         let evicted = if self.tags[idx] != INVALID_TAG {
             let m = self.meta[idx];
@@ -338,7 +411,12 @@ impl Cache {
                 self.stats.prefetch_wasted += 1;
             }
             self.stats.evictions += 1;
-            Some(Eviction { line: self.tags[idx], dirty: m & FLAG_DIRTY != 0, unused_prefetch })
+            Some(Eviction {
+                line: self.tags[idx],
+                dirty: m & FLAG_DIRTY != 0,
+                unused_prefetch,
+                holders: self.take_holders(idx),
+            })
         } else {
             None
         };
@@ -347,7 +425,7 @@ impl Cache {
         self.tags[idx] = line;
         self.meta[idx] = stamp | if prefetched { FLAG_PREFETCHED } else { 0 };
         self.stats.insertions += 1;
-        evicted
+        Fill { way: idx, was_resident: false, evicted }
     }
 
     /// Bitmask selecting all `ways` low way bits.
@@ -364,6 +442,7 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(INVALID_TAG);
         self.meta.fill(0);
+        self.holders.fill(0);
         self.clocks.fill(0);
     }
 
@@ -510,18 +589,82 @@ mod tests {
     }
 
     /// The tag store is most of a many-core `System`'s memory and of every
-    /// snapshot of it: 10 bytes per way plus 2 per set.
+    /// snapshot of it: 10 bytes per way plus 2 per set, and in the LLC a
+    /// holder mask per way as wide as the socket's core count rounded up
+    /// to a power of two. L1 and L2 allocate no holder column.
     #[test]
-    fn scaled_llc_costs_ten_bytes_per_way_and_two_per_set() {
-        let geom = crate::config::SystemConfig::scaled(8).llc;
-        let c = Cache::new(geom);
-        // Exhaustive, so a new per-way or per-set vector must be counted here.
-        let Cache { sets: _, ways: _, set_mask: _, tags, meta, clocks, stats: _ } = &c;
-        let heap = tags.capacity() * std::mem::size_of::<u64>()
-            + meta.capacity() * std::mem::size_of::<u16>()
-            + clocks.capacity() * std::mem::size_of::<u16>();
-        assert_eq!(geom.lines(), 40_960);
-        assert_eq!(heap as u64, 10 * geom.lines() + 2 * geom.sets());
+    fn tag_store_costs_ten_bytes_per_way_and_two_per_set_plus_llc_holders() {
+        let heap = |c: &Cache| {
+            // Exhaustive, so a new per-way or per-set vector must be counted here.
+            let Cache {
+                sets: _,
+                ways: _,
+                set_mask: _,
+                tags,
+                meta,
+                holders,
+                holder_log: _,
+                holder_field: _,
+                clocks,
+                stats: _,
+            } = c;
+            (tags.capacity() * std::mem::size_of::<u64>()
+                + meta.capacity() * std::mem::size_of::<u16>()
+                + holders.capacity() * std::mem::size_of::<u64>()
+                + clocks.capacity() * std::mem::size_of::<u16>()) as u64
+        };
+        let cfg = crate::config::SystemConfig::scaled(8);
+        let (lines, sets) = (cfg.llc.lines(), cfg.llc.sets());
+        assert_eq!(lines, 40_960);
+        for geom in [cfg.l1, cfg.l2] {
+            assert_eq!(heap(&Cache::new(geom)), 10 * geom.lines() + 2 * geom.sets(), "{geom:?}");
+        }
+        assert_eq!(heap(&Cache::new(cfg.llc)), 10 * lines + 2 * sets);
+        // (cores per socket, holder bits per way)
+        for (cores, bits) in [(1, 1), (2, 2), (8, 8), (12, 16), (32, 32), (64, 64)] {
+            let c = Cache::with_holders(cfg.llc, cores);
+            assert_eq!(heap(&c), 10 * lines + 2 * sets + bits * lines / 8, "{cores} cores");
+        }
+    }
+
+    /// Neighbouring ways share a word of the packed column; setting one
+    /// mask leaves the others alone, at every width.
+    #[test]
+    fn packed_holder_masks_are_independent() {
+        let geom = CacheGeometry { size_bytes: 4 * 4 * 64, ways: 4, hit_latency: 1 };
+        for cores in [1, 3, 8, 17, 64] {
+            let mut c = Cache::with_holders(geom, cores);
+            let full = u64::MAX >> (64 - cores);
+            for way in 0..16 {
+                assert_eq!(c.set_holders(way, full ^ (way as u64 & full)), 0);
+            }
+            for way in 0..16 {
+                assert_eq!(c.holders(way), full ^ (way as u64 & full), "{cores} cores, way {way}");
+            }
+        }
+    }
+
+    #[test]
+    fn qbs_fill_spares_held_ways_until_all_are_held() {
+        let geom = CacheGeometry { size_bytes: 4 * 4 * 64, ways: 4, hit_latency: 1 };
+        let mut c = Cache::with_holders(geom, 2);
+        let ways: Vec<usize> =
+            (0..4).map(|i| c.fill(set0_line(i), false, u64::MAX, true).way).collect();
+        // Lines 0 and 1 are the two LRU ways; an L2 holds line 0.
+        c.set_holders(ways[0], 0b10);
+        let f = c.fill(set0_line(4), false, u64::MAX, true);
+        assert_eq!(f.evicted.map(|e| (e.line, e.holders)), Some((set0_line(1), 0)));
+        assert_eq!((f.way, f.was_resident, c.holders(f.way)), (ways[1], false, 0));
+        // Every usable way held: the plain LRU way goes, with its mask.
+        for &w in &ways {
+            c.set_holders(w, c.holders(w) | 1);
+        }
+        let f = c.fill(set0_line(5), false, 0b0101, true);
+        assert_eq!(f.evicted.map(|e| (e.line, e.holders)), Some((set0_line(0), 0b11)));
+        assert_eq!(c.holders(f.way), 0, "a new line starts unheld");
+        // A resident line is only refreshed and keeps its mask.
+        let f = c.fill(set0_line(2), true, u64::MAX, true);
+        assert_eq!((f.way, f.was_resident, f.evicted, c.holders(f.way)), (ways[2], true, None, 1));
     }
 
     /// Tags stay exact `u64`s: a 1024-core machine puts line numbers above

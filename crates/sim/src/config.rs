@@ -24,7 +24,7 @@ use crate::addr::CACHE_LINE_BYTES;
 pub struct Topology {
     /// Number of sockets (CAT domains).
     pub sockets: usize,
-    /// Cores per socket (≤ 64: per-socket presence maps are u64 bitmasks).
+    /// Cores per socket (≤ 64: a socket's L2-holder masks are at most 64 bits).
     pub cores_per_socket: usize,
     /// `true`: one NUMA-local memory controller per socket (no
     /// cross-socket traffic). `false`: a single shared controller homed on
@@ -97,7 +97,7 @@ impl Topology {
         assert!(self.cores_per_socket > 0, "topology needs at least one core per socket");
         assert!(
             self.cores_per_socket <= 64,
-            "per-socket presence maps are u64 bitmasks: cores_per_socket must be <= 64"
+            "L2-holder masks are at most 64 bits: cores_per_socket must be <= 64"
         );
         assert!(self.total_cores() <= 1024, "more than 1024 cores is not supported");
     }

@@ -26,7 +26,7 @@ use crate::memory::MemoryController;
 use crate::msr::CatState;
 use crate::pmu::Pmu;
 use crate::prefetch::{Battery, PrefetchRequest, PrefetcherKind};
-use crate::presence::Presence;
+use crate::presence::Llc;
 use crate::workload::{Op, Workload};
 
 /// Metadata of an in-flight prefetch fill. The target line numbers live in
@@ -60,7 +60,7 @@ pub struct Core {
     /// Global core id (its memory-controller traffic port).
     pub id: usize,
     /// Socket-local index (`id % cores_per_socket`): the key into the
-    /// owning socket's CAT state and presence tracker.
+    /// owning socket's CAT state and LLC holder masks.
     pub slot: usize,
     /// Fixed extra cycles on every memory fill (demand or prefetch) this
     /// core sources from a *remote* controller — zero on single-socket and
@@ -182,10 +182,9 @@ impl Core {
     pub fn run_until(
         &mut self,
         qend: u64,
-        llc: &mut Cache,
+        llc: &mut Llc,
         cat: &CatState,
         mem: &mut MemoryController,
-        presence: &mut Presence,
         inval: &mut Vec<u64>,
     ) {
         while self.time < qend {
@@ -211,12 +210,12 @@ impl Core {
                     }
                 }
                 Op::Load { addr, pc } => {
-                    self.demand_access(addr, pc, true, llc, cat, mem, presence, inval);
+                    self.demand_access(addr, pc, true, llc, cat, mem, inval);
                     self.time += 1;
                     self.pmu.instructions += 1;
                 }
                 Op::Store { addr, pc } => {
-                    self.demand_access(addr, pc, false, llc, cat, mem, presence, inval);
+                    self.demand_access(addr, pc, false, llc, cat, mem, inval);
                     self.time += 1;
                     self.pmu.instructions += 1;
                 }
@@ -251,20 +250,17 @@ impl Core {
         self.pmu.pf_wasted = self.l2.stats.prefetch_wasted;
     }
 
-    /// Applies an inclusive back-invalidation for an LLC victim.
+    /// Applies an inclusive back-invalidation for an LLC victim this core's
+    /// L2 holds; the caller has already cleared the line's holder mask.
     /// Dirty private copies are written back to memory.
-    pub fn back_invalidate(
-        &mut self,
-        line: u64,
-        mem: &mut MemoryController,
-        presence: &mut Presence,
-    ) {
+    pub fn back_invalidate(&mut self, line: u64, mem: &mut MemoryController) {
         let mut dirty = false;
         if let Some(ev) = self.l1.invalidate_line(line) {
             dirty |= ev.dirty;
         }
-        if let Some(ev) = self.l2.invalidate_line(line) {
-            presence.dec(line, self.slot);
+        let l2 = self.l2.invalidate_line(line);
+        debug_assert!(l2.is_some(), "core {} held line {line} without its L2", self.slot);
+        if let Some(ev) = l2 {
             dirty |= ev.dirty;
         }
         if dirty {
@@ -279,13 +275,12 @@ impl Core {
         addr: u64,
         pc: u64,
         is_load: bool,
-        llc: &mut Cache,
+        llc: &mut Llc,
         cat: &CatState,
         mem: &mut MemoryController,
-        presence: &mut Presence,
         inval: &mut Vec<u64>,
     ) {
-        self.drain_mshr(llc, cat, mem, presence, inval);
+        self.drain_mshr(llc, cat, mem, inval);
 
         let line = crate::addr::line_of(addr);
         self.pmu.l1d_accesses += 1;
@@ -317,7 +312,7 @@ impl Core {
                 }
                 (p.complete, p.beyond_l2)
             } else {
-                self.fetch_for_demand(line, addr, pc, is_load, llc, cat, mem, presence, inval)
+                self.fetch_for_demand(line, addr, pc, is_load, llc, cat, mem, inval)
             };
 
         if !is_load {
@@ -365,10 +360,9 @@ impl Core {
         addr: u64,
         pc: u64,
         is_load: bool,
-        llc: &mut Cache,
+        llc: &mut Llc,
         cat: &CatState,
         mem: &mut MemoryController,
-        presence: &mut Presence,
         inval: &mut Vec<u64>,
     ) -> (u64, bool) {
         self.pmu.l2_dm_req += 1;
@@ -381,8 +375,8 @@ impl Core {
         }
         self.pmu.l2_dm_miss += 1;
 
-        if llc.access(line).is_some() {
-            self.fill_l2(line, false, llc, presence);
+        if let Some(hit) = llc.access(line) {
+            self.fill_l2(line, false, llc, Some(hit.way));
             self.fill_l1(line, false);
             return (self.time + self.llc_hit_latency, true);
         }
@@ -392,8 +386,8 @@ impl Core {
 
         let completion = mem.demand_fill(self.time, self.id, line) + self.mem_penalty;
         self.pmu.mem_demand_bytes += 64;
-        self.fill_llc(line, false, llc, cat, mem, presence, inval);
-        self.fill_l2(line, false, llc, presence);
+        let way = self.fill_llc(line, false, llc, cat, mem, inval);
+        self.fill_l2(line, false, llc, Some(way));
         self.fill_l1(line, false);
         (completion, true)
     }
@@ -402,7 +396,7 @@ impl Core {
     /// requests that miss L1 travel to L2 and — as on hardware — train the
     /// L2 prefetchers there, which may append further candidates; the loop
     /// keeps draining until the buffer is exhausted.
-    fn issue_prefetches(&mut self, llc: &mut Cache, mem: &mut MemoryController) {
+    fn issue_prefetches(&mut self, llc: &mut Llc, mem: &mut MemoryController) {
         let mut buf = std::mem::take(&mut self.pf_buf);
         let mut i = 0;
         while i < buf.len() {
@@ -432,7 +426,7 @@ impl Core {
         &mut self,
         line: u64,
         buf: &mut Vec<PrefetchRequest>,
-        llc: &mut Cache,
+        llc: &mut Llc,
         mem: &mut MemoryController,
     ) {
         self.pmu.l1_pf_req += 1;
@@ -488,7 +482,7 @@ impl Core {
         }
     }
 
-    fn issue_l2_prefetch(&mut self, line: u64, llc: &mut Cache, mem: &mut MemoryController) {
+    fn issue_l2_prefetch(&mut self, line: u64, llc: &mut Llc, mem: &mut MemoryController) {
         self.pmu.l2_pf_req += 1;
         if self.l2.contains(line) || self.mshr_has(line) || self.mshr.len() >= self.mshr_capacity {
             return;
@@ -542,10 +536,9 @@ impl Core {
     #[inline]
     fn drain_mshr(
         &mut self,
-        llc: &mut Cache,
+        llc: &mut Llc,
         cat: &CatState,
         mem: &mut MemoryController,
-        presence: &mut Presence,
         inval: &mut Vec<u64>,
     ) {
         if self.mshr_min_complete > self.time {
@@ -558,10 +551,11 @@ impl Core {
             if self.mshr[j].complete <= now {
                 let line = self.mshr_lines.swap_remove(j);
                 let fill = self.mshr.swap_remove(j);
-                if fill.to_llc {
-                    self.fill_llc(line, fill.prefetched, llc, cat, mem, presence, inval);
-                }
-                self.fill_l2(line, fill.prefetched, llc, presence);
+                // An LLC-hit fill finds its line's way when it lands: the
+                // LLC may have evicted the line since the request left.
+                let way =
+                    fill.to_llc.then(|| self.fill_llc(line, fill.prefetched, llc, cat, mem, inval));
+                self.fill_l2(line, fill.prefetched, llc, way);
                 if fill.to_l1 {
                     self.fill_l1(line, fill.prefetched);
                     if fill.dirty {
@@ -585,54 +579,54 @@ impl Core {
         }
     }
 
-    fn fill_l2(&mut self, line: u64, prefetched: bool, llc: &mut Cache, presence: &mut Presence) {
-        if self.l2.contains(line) {
-            self.l2.insert(line, prefetched, u64::MAX);
+    /// Installs `line` in L2 and records this core as a holder. `way` is
+    /// the line's LLC way when the caller already knows it.
+    fn fill_l2(&mut self, line: u64, prefetched: bool, llc: &mut Llc, way: Option<usize>) {
+        let fill = self.l2.fill(line, prefetched, u64::MAX, false);
+        if fill.was_resident {
             return;
         }
-        presence.inc(line, self.slot);
-        if let Some(ev) = self.l2.insert(line, prefetched, u64::MAX) {
-            presence.dec(ev.line, self.slot);
+        llc.add_holder(line, way, self.slot);
+        if let Some(ev) = fill.evicted {
             // L1 must not outlive L2 if we keep the hierarchy inclusive.
             self.l1.invalidate_line(ev.line);
-            if ev.dirty {
-                llc.mark_dirty(ev.line);
-            }
+            llc.drop_holder(ev.line, self.slot, ev.dirty);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Installs `line` in the LLC under this core's CAT mask and returns
+    /// its way.
     fn fill_llc(
         &mut self,
         line: u64,
         prefetched: bool,
-        llc: &mut Cache,
+        llc: &mut Llc,
         cat: &CatState,
         mem: &mut MemoryController,
-        presence: &mut Presence,
         inval: &mut Vec<u64>,
-    ) {
+    ) -> usize {
         let mask = cat.mask_for_core(self.slot);
-        // Query-Based Selection: avoid victimising lines resident in any
-        // core's private caches (Broadwell's inclusion-victim mitigation).
-        let ev = if self.qbs {
-            llc.insert_qbs(line, prefetched, mask, &|l| presence.resident(l))
-        } else {
-            llc.insert(line, prefetched, mask)
-        };
-        if let Some(ev) = ev {
+        // With Query-Based Selection the LLC avoids victimising lines
+        // resident in any core's private caches (Broadwell's
+        // inclusion-victim mitigation).
+        let fill = llc.fill(line, prefetched, mask, self.qbs, self.slot);
+        if let Some(ev) = fill.evicted {
             if ev.dirty {
                 mem.writeback(self.time, self.id, ev.line);
                 self.pmu.mem_writeback_bytes += 64;
             }
             // Inclusive LLC: victims must leave every private cache.
-            // Our own copies go now; other cores' at the quantum boundary.
-            self.l1.invalidate_line(ev.line);
-            if self.l2.invalidate_line(ev.line).is_some() {
-                presence.dec(ev.line, self.slot);
+            // Our own copies go now (L1 holds a subset of L2); other
+            // cores' at the quantum boundary.
+            if ev.holders & (1 << self.slot) != 0 {
+                self.l1.invalidate_line(ev.line);
+                self.l2.invalidate_line(ev.line);
+            } else {
+                debug_assert!(!self.l2.contains(ev.line) && !self.l1.contains(ev.line));
             }
             inval.push(ev.line);
         }
+        fill.way
     }
 }
 
@@ -642,19 +636,19 @@ mod tests {
     use crate::config::{SystemConfig, Topology};
     use crate::workload::Idle;
 
-    fn rig() -> (Core, Cache, CatState, MemoryController, Presence, Vec<u64>) {
+    fn rig() -> (Core, Llc, CatState, MemoryController, Vec<u64>) {
         let cfg = SystemConfig::tiny(1);
         let core = Core::new(0, &cfg, Box::new(Idle));
-        let llc = Cache::new(cfg.llc);
+        let llc = Llc::new(cfg.llc, 1);
         let cat = CatState::new(cfg.num_clos, cfg.llc.ways, &Topology::single(1));
         let mem = MemoryController::new(cfg.memory, &Topology::single(1));
-        (core, llc, cat, mem, Presence::new(), Vec::new())
+        (core, llc, cat, mem, Vec::new())
     }
 
     #[test]
     fn compute_only_runs_at_ipc_one() {
-        let (mut core, mut llc, cat, mut mem, mut presence, mut inval) = rig();
-        core.run_until(10_000, &mut llc, &cat, &mut mem, &mut presence, &mut inval);
+        let (mut core, mut llc, cat, mut mem, mut inval) = rig();
+        core.run_until(10_000, &mut llc, &cat, &mut mem, &mut inval);
         assert!(core.time >= 10_000);
         assert!((core.pmu.ipc() - 1.0).abs() < 0.01);
         assert_eq!(core.pmu.l1d_accesses, 0);
@@ -686,12 +680,11 @@ mod tests {
     fn streaming_load_counts_misses_and_fills() {
         let cfg = SystemConfig::tiny(1);
         let mut core = Core::new(0, &cfg, Box::new(Seq { pos: 0, span: 1 << 20 }));
-        let mut llc = Cache::new(cfg.llc);
+        let mut llc = Llc::new(cfg.llc, 1);
         let cat = CatState::new(cfg.num_clos, cfg.llc.ways, &Topology::single(1));
         let mut mem = MemoryController::new(cfg.memory, &Topology::single(1));
-        let mut presence = Presence::new();
         let mut inval = Vec::new();
-        core.run_until(50_000, &mut llc, &cat, &mut mem, &mut presence, &mut inval);
+        core.run_until(50_000, &mut llc, &cat, &mut mem, &mut inval);
         assert!(core.pmu.l1d_accesses > 0);
         assert!(core.pmu.l1d_misses > 0);
         assert!(core.pmu.l2_dm_req > 0);
@@ -706,12 +699,11 @@ mod tests {
         let run = |msr: u64| {
             let mut core = Core::new(0, &cfg, Box::new(Seq { pos: 0, span: 1 << 22 }));
             core.battery.write_msr(msr);
-            let mut llc = Cache::new(cfg.llc);
+            let mut llc = Llc::new(cfg.llc, 1);
             let cat = CatState::new(cfg.num_clos, cfg.llc.ways, &Topology::single(1));
             let mut mem = MemoryController::new(cfg.memory, &Topology::single(1));
-            let mut presence = Presence::new();
             let mut inval = Vec::new();
-            core.run_until(300_000, &mut llc, &cat, &mut mem, &mut presence, &mut inval);
+            core.run_until(300_000, &mut llc, &cat, &mut mem, &mut inval);
             core.pmu.ipc()
         };
         let ipc_on = run(0x0);
@@ -727,12 +719,11 @@ mod tests {
         let cfg = SystemConfig::tiny(1);
         let mut core = Core::new(0, &cfg, Box::new(Seq { pos: 0, span: 1 << 22 }));
         core.battery.write_msr(0xF); // no prefetch: every line from memory
-        let mut llc = Cache::new(cfg.llc);
+        let mut llc = Llc::new(cfg.llc, 1);
         let cat = CatState::new(cfg.num_clos, cfg.llc.ways, &Topology::single(1));
         let mut mem = MemoryController::new(cfg.memory, &Topology::single(1));
-        let mut presence = Presence::new();
         let mut inval = Vec::new();
-        core.run_until(100_000, &mut llc, &cat, &mut mem, &mut presence, &mut inval);
+        core.run_until(100_000, &mut llc, &cat, &mut mem, &mut inval);
         assert!(core.pmu.stalls_l2_pending > 0);
         assert!(core.pmu.stalls_l2_pending <= core.pmu.stall_cycles);
     }
@@ -757,12 +748,11 @@ mod tests {
         let cfg = SystemConfig::tiny(1);
         let mut core = Core::new(0, &cfg, Box::new(StoreStream { pos: 0 }));
         core.battery.write_msr(0xF);
-        let mut llc = Cache::new(cfg.llc);
+        let mut llc = Llc::new(cfg.llc, 1);
         let cat = CatState::new(cfg.num_clos, cfg.llc.ways, &Topology::single(1));
         let mut mem = MemoryController::new(cfg.memory, &Topology::single(1));
-        let mut presence = Presence::new();
         let mut inval = Vec::new();
-        core.run_until(20_000, &mut llc, &cat, &mut mem, &mut presence, &mut inval);
+        core.run_until(20_000, &mut llc, &cat, &mut mem, &mut inval);
         // The store buffer drains through the MLP window: a write-allocate
         // miss stream must stall once the window fills.
         assert!(core.pmu.stall_cycles > 0);
@@ -771,20 +761,13 @@ mod tests {
 
     #[test]
     fn back_invalidate_writes_back_dirty_lines() {
-        let (mut core, mut llc, cat, mut mem, mut presence, mut inval) = rig();
+        let (mut core, mut llc, cat, mut mem, mut inval) = rig();
         // Install a line and dirty it in L1 via a store.
-        core.demand_access(
-            0x1000,
-            0x400,
-            false,
-            &mut llc,
-            &cat,
-            &mut mem,
-            &mut presence,
-            &mut inval,
-        );
+        core.demand_access(0x1000, 0x400, false, &mut llc, &cat, &mut mem, &mut inval);
         let before = core.pmu.mem_writeback_bytes;
-        core.back_invalidate(crate::addr::line_of(0x1000), &mut mem, &mut presence);
+        let line = crate::addr::line_of(0x1000);
+        assert_eq!(llc.take_holders(line), 0b1);
+        core.back_invalidate(line, &mut mem);
         assert_eq!(core.pmu.mem_writeback_bytes, before + 64);
         assert!(!core.l1.contains(crate::addr::line_of(0x1000)));
         assert!(!core.l2.contains(crate::addr::line_of(0x1000)));

@@ -1,5 +1,5 @@
-//! Private-cache presence tracking for QBS victim selection and targeted
-//! inclusive back-invalidation.
+//! L2-holder tracking for the inclusive LLC: Query-Based Selection and
+//! targeted inclusive back-invalidation.
 //!
 //! Broadwell's inclusive LLC implements *Query Based Selection* (Jaleel et
 //! al., MICRO'10: "Achieving Non-Inclusive Cache Performance with Inclusive
@@ -11,30 +11,160 @@
 //! when a streaming neighbour churns the cache.
 //!
 //! Instead of probing every core's L2 on each eviction, the simulator
-//! keeps, per line, a bitmask of which private L2 caches hold it (L1
-//! contents are a subset of L2 in this hierarchy). The mask serves two
-//! consumers on the hot path:
+//! keeps, per line, a bitmask of which socket-local L2 caches hold it
+//! (L1 contents are a subset of L2 in this hierarchy). Each mask lives in
+//! exactly one of two places:
 //!
-//! * [`Presence::resident`] — the QBS query, issued once per scanned LLC
-//!   way during victim selection;
-//! * [`Presence::holders`] — the set of cores an LLC victim must be
-//!   back-invalidated from, so [`crate::system::System::run`] walks only
-//!   the cores that actually hold a copy instead of broadcasting to all.
+//! * in the line's LLC way, in the tag store's holder column
+//!   ([`Cache::with_holders`]), whenever the LLC holds the line. QBS reads
+//!   these masks from the set it is already scanning, so picking a victim
+//!   costs no lookup;
+//! * in the *orphan* table (`Presence`) when some L2 holds a line the
+//!   LLC does not. That happens inside the deferred back-invalidation
+//!   window (between an LLC eviction and the quantum boundary that
+//!   back-invalidates the victim's holders), and when an LLC-hit prefetch
+//!   lands in an L2 after its LLC copy has left.
 //!
-//! Both queries sit inside the per-access simulation loop, so the map is a
-//! purpose-built open-addressing table rather than `std::HashMap`: u64
-//! keys, Fibonacci multiplicative hashing (no SipHash), linear probing,
-//! and backward-shift deletion (no tombstones). The table only grows —
-//! the working set of a run is bounded by the private-cache capacity, so
-//! steady state performs no allocation at all.
+//! [`Llc`] pairs the two and keeps every mask in its place.
+//! [`Llc::fill`] is the one LLC insert path: the victim's mask moves into
+//! the orphan table and the new line takes its mask from there. L2 fills
+//! and evictions update masks through [`Llc::add_holder`] and
+//! [`Llc::drop_holder`]; back-invalidation reads and clears them through
+//! [`Llc::take_holders`], so [`crate::system::System::run`] walks only the
+//! cores that actually hold a copy instead of broadcasting to all.
+//!
+//! The orphan table is a purpose-built open-addressing table rather than
+//! `std::HashMap`: u64 keys, Fibonacci multiplicative hashing (no
+//! SipHash), linear probing, and backward-shift deletion (no tombstones).
+//! It holds few lines, and while it is empty no lookup reaches it.
+
+use crate::cache::{Cache, Fill, HitInfo};
+use crate::config::CacheGeometry;
+
+/// A socket's LLC: the tag store with its holder column, and the orphan
+/// table for lines some L2 holds that the tag store does not.
+#[derive(Clone)]
+pub struct Llc {
+    cache: Cache,
+    orphans: Presence,
+}
+
+impl Llc {
+    /// An empty LLC with the given geometry, shared by `cores` (1..=64)
+    /// socket-local cores.
+    pub fn new(geom: CacheGeometry, cores: usize) -> Self {
+        Llc { cache: Cache::with_holders(geom, cores), orphans: Presence::new() }
+    }
+
+    /// The tag store (read-only: masks change only through `Llc`).
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+
+    /// Demand access; see [`Cache::access`].
+    #[inline(always)]
+    pub(crate) fn access(&mut self, line: u64) -> Option<HitInfo> {
+        self.cache.access(line)
+    }
+
+    /// Prefetch probe; see [`Cache::probe_for_prefetch`].
+    #[inline(always)]
+    pub(crate) fn probe_for_prefetch(&mut self, line: u64) -> bool {
+        self.cache.probe_for_prefetch(line)
+    }
+
+    /// Inserts `line` on behalf of socket-local core `core` (see
+    /// [`Cache::fill`]). A newly placed line takes its holders from the
+    /// orphan table; the victim's holders other than `core` move there.
+    /// The returned eviction keeps the victim's full mask, so the caller
+    /// drops its own private copies when its bit is set.
+    #[inline]
+    pub(crate) fn fill(
+        &mut self,
+        line: u64,
+        prefetched: bool,
+        alloc_mask: u64,
+        qbs: bool,
+        core: usize,
+    ) -> Fill {
+        let fill = self.cache.fill(line, prefetched, alloc_mask, qbs);
+        if !fill.was_resident && !self.orphans.is_empty() {
+            self.cache.set_holders(fill.way, self.orphans.take(line));
+        }
+        if let Some(ev) = fill.evicted {
+            self.orphans.put(ev.line, ev.holders & !(1 << core));
+        }
+        fill
+    }
+
+    /// Core `core`'s L2 gained `line`. `way` is the line's LLC way when
+    /// the caller already found it; otherwise the set is scanned.
+    #[inline]
+    pub(crate) fn add_holder(&mut self, line: u64, way: Option<usize>, core: usize) {
+        debug_assert!(way.is_none() || way == self.cache.way_of(line), "stale way for {line}");
+        match way.or_else(|| self.cache.way_of(line)) {
+            Some(w) => {
+                let mask = self.cache.holders(w);
+                debug_assert!(mask & (1 << core) == 0, "core {core} already holds line {line}");
+                self.cache.set_holders(w, mask | 1 << core);
+            }
+            None => self.orphans.inc(line, core),
+        }
+    }
+
+    /// Core `core`'s L2 evicted `line`; a `dirty` copy marks the LLC's
+    /// copy dirty, if the LLC still holds one.
+    #[inline]
+    pub(crate) fn drop_holder(&mut self, line: u64, core: usize, dirty: bool) {
+        match self.cache.way_of(line) {
+            Some(w) => {
+                let mask = self.cache.holders(w);
+                debug_assert!(mask & (1 << core) != 0, "core {core} does not hold line {line}");
+                self.cache.set_holders(w, mask & !(1 << core));
+                if dirty {
+                    self.cache.mark_dirty_at(w);
+                }
+            }
+            None => self.orphans.dec(line, core),
+        }
+    }
+
+    /// Clears and returns the holders of `line`, whose private copies the
+    /// caller is about to back-invalidate.
+    #[inline]
+    pub(crate) fn take_holders(&mut self, line: u64) -> u64 {
+        if !self.orphans.is_empty() {
+            let mask = self.orphans.take(line);
+            if mask != 0 {
+                return mask;
+            }
+        }
+        self.cache.way_of(line).map_or(0, |w| self.cache.set_holders(w, 0))
+    }
+
+    /// Bitmask of socket-local cores whose L2 holds `line`.
+    pub fn holders(&self, line: u64) -> u64 {
+        match self.cache.way_of(line) {
+            Some(w) => self.cache.holders(w),
+            None => self.orphans.holders(line),
+        }
+    }
+
+    /// Number of orphan lines: held by some L2, absent from the tag store.
+    #[cfg(test)]
+    pub(crate) fn orphans(&self) -> usize {
+        self.orphans.len
+    }
+}
 
 /// Sentinel for an empty slot. Line numbers are `addr >> 6`, so `u64::MAX`
 /// can never be a real key.
 const EMPTY: u64 = u64::MAX;
 
-/// Per-line bitmask of private L2 caches holding the line.
+/// The orphan table: per-line bitmask of the private L2 caches holding a
+/// line the LLC does not hold.
 #[derive(Debug, Clone)]
-pub struct Presence {
+pub(crate) struct Presence {
     /// Slot keys (line numbers), `EMPTY` when vacant.
     keys: Vec<u64>,
     /// Holder bitmasks parallel to `keys`; bit *i* = core *i*'s L2.
@@ -52,10 +182,9 @@ impl Default for Presence {
 }
 
 impl Presence {
-    /// Empty tracker. Starts at a capacity that covers a typical private
-    /// cache working set without rehashing.
+    /// Empty table. Orphans are few, so it starts small and grows.
     pub fn new() -> Self {
-        Self::with_capacity_pow2(1 << 12)
+        Self::with_capacity_pow2(1 << 8)
     }
 
     fn with_capacity_pow2(cap: usize) -> Self {
@@ -99,15 +228,30 @@ impl Presence {
                 );
                 self.masks[i] |= 1 << core;
             }
-            Err(i) => {
-                self.keys[i] = line;
-                self.masks[i] = 1 << core;
-                self.len += 1;
-                // Keep load factor below 1/2 so probe chains stay short.
-                if self.len * 2 > self.keys.len() {
-                    self.grow();
-                }
-            }
+            Err(i) => self.occupy(i, line, 1 << core),
+        }
+    }
+
+    /// Records `mask` as the holders of `line`, which the table must not
+    /// hold yet. A zero mask records nothing.
+    #[inline]
+    pub fn put(&mut self, line: u64, mask: u64) {
+        if mask == 0 {
+            return;
+        }
+        match self.probe(line) {
+            Ok(_) => debug_assert!(false, "line {line} is already an orphan"),
+            Err(i) => self.occupy(i, line, mask),
+        }
+    }
+
+    fn occupy(&mut self, slot: usize, line: u64, mask: u64) {
+        self.keys[slot] = line;
+        self.masks[slot] = mask;
+        self.len += 1;
+        // Keep load factor below 1/2 so probe chains stay short.
+        if self.len * 2 > self.keys.len() {
+            self.grow();
         }
     }
 
@@ -129,25 +273,27 @@ impl Presence {
         }
     }
 
-    /// True if any private cache holds `line` (the QBS query).
-    #[inline(always)]
-    pub fn resident(&self, line: u64) -> bool {
-        self.probe(line).is_ok()
+    /// Removes `line` and returns its holders (0 if it was not held).
+    #[inline]
+    pub fn take(&mut self, line: u64) -> u64 {
+        match self.probe(line) {
+            Ok(i) => {
+                let mask = self.masks[i];
+                self.remove_slot(i);
+                mask
+            }
+            Err(_) => 0,
+        }
     }
 
     /// Bitmask of cores whose private caches hold `line` (bit *i* = core
-    /// *i*). Drives targeted back-invalidation of LLC victims.
+    /// *i*).
     #[inline(always)]
     pub fn holders(&self, line: u64) -> u64 {
         match self.probe(line) {
             Ok(i) => self.masks[i],
             Err(_) => 0,
         }
-    }
-
-    /// Number of tracked lines (diagnostics).
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// True when nothing is tracked.
@@ -205,18 +351,15 @@ mod tests {
     #[test]
     fn holder_mask_roundtrip() {
         let mut p = Presence::new();
-        assert!(!p.resident(5));
         assert_eq!(p.holders(5), 0);
         p.inc(5, 0);
-        assert!(p.resident(5));
         assert_eq!(p.holders(5), 0b01);
         p.inc(5, 3);
         assert_eq!(p.holders(5), 0b1001);
         p.dec(5, 0);
-        assert!(p.resident(5), "still held by core 3");
         assert_eq!(p.holders(5), 0b1000);
         p.dec(5, 3);
-        assert!(!p.resident(5));
+        assert_eq!(p.holders(5), 0);
         assert!(p.is_empty());
     }
 
@@ -226,10 +369,9 @@ mod tests {
         p.inc(1, 0);
         p.inc(2, 1);
         p.dec(1, 0);
-        assert!(!p.resident(1));
-        assert!(p.resident(2));
+        assert_eq!(p.holders(1), 0);
         assert_eq!(p.holders(2), 0b10);
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.len, 1);
     }
 
     #[test]
@@ -238,7 +380,7 @@ mod tests {
         for line in 0..1000u64 {
             p.inc(line, (line % 4) as usize);
         }
-        assert_eq!(p.len(), 1000);
+        assert_eq!(p.len, 1000);
         for line in 0..1000u64 {
             assert_eq!(p.holders(line), 1 << (line % 4), "line {line}");
         }
@@ -260,10 +402,25 @@ mod tests {
             p.inc(l, 0);
         }
         p.dec(11, 0);
-        assert!(!p.resident(11));
+        assert_eq!(p.holders(11), 0);
         for &l in [3u64, 19, 27].iter() {
-            assert!(p.resident(l), "line {l} lost after backward-shift deletion");
+            assert_eq!(p.holders(l), 1, "line {l} lost after backward-shift deletion");
         }
+    }
+
+    #[test]
+    fn put_and_take_move_whole_masks() {
+        let mut p = Presence::with_capacity_pow2(8);
+        p.put(9, 0);
+        assert!(p.is_empty(), "a zero mask is no orphan");
+        for line in 0..100u64 {
+            p.put(line * 8, line | 1);
+        }
+        for line in 0..100u64 {
+            assert_eq!(p.take(line * 8), line | 1);
+        }
+        assert_eq!(p.take(8), 0);
+        assert!(p.is_empty());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! back-invalidations, and the results are bit-identical at any thread
 //! count.
 
-use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::core_model::Core;
 use crate::memory::{CoreMemTraffic, MemoryController};
@@ -27,7 +26,7 @@ use crate::msr::{
     MSR_MISC_FEATURE_CONTROL,
 };
 use crate::pmu::Pmu;
-use crate::presence::Presence;
+use crate::presence::Llc;
 use crate::workload::Workload;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -82,15 +81,14 @@ impl From<CatError> for MsrError {
     }
 }
 
-/// One socket's shared state: its LLC, CAT domain, L2-presence tracker,
-/// deferred back-invalidation queue, and (when the topology gives each
-/// socket a private channel) its memory controller. CAT and presence are
-/// indexed by socket-*local* core ids.
+/// One socket's shared state: its LLC (with the L2-holder masks), CAT
+/// domain, deferred back-invalidation queue, and (when the topology gives
+/// each socket a private channel) its memory controller. CAT and holder
+/// masks are indexed by socket-*local* core ids.
 #[derive(Clone)]
 struct SocketState {
-    llc: Cache,
+    llc: Llc,
     cat: CatState,
-    presence: Presence,
     inval: Vec<u64>,
     /// `Some` iff [`Topology::mem_per_socket`](crate::config::Topology);
     /// otherwise the machine-wide [`System::shared_mem`] serves this
@@ -122,27 +120,26 @@ impl SocketState {
     /// Steps this socket's cores (`cores`, indexed by socket-local id) to
     /// `qend`. `shared` is the machine-wide controller, if any.
     fn run_cores(&mut self, cores: &mut [Core], qend: u64, shared: Option<&mut MemoryController>) {
-        let SocketState { llc, cat, presence, inval, mem } = self;
+        let SocketState { llc, cat, inval, mem } = self;
         let mem = Self::mem(mem, shared);
         for core in cores {
-            core.run_until(qend, llc, cat, mem, presence, inval);
+            core.run_until(qend, llc, cat, mem, inval);
         }
     }
 
     /// Inclusive back-invalidation of the queued LLC victims, targeted at
-    /// the cores whose private caches actually hold a copy (the presence
-    /// holder mask) instead of broadcasting to every core. The evicting
-    /// core already dropped its own copy at fill time, so most victims
-    /// have an empty mask and cost one lookup.
+    /// the cores whose private caches hold a copy now (the line's holder
+    /// mask, wherever it lives) instead of broadcasting to every core.
+    /// The evicting core already dropped its own copy at fill time.
     fn drain_invalidations(&mut self, cores: &mut [Core], shared: Option<&mut MemoryController>) {
-        let SocketState { presence, inval, mem, .. } = self;
+        let SocketState { llc, inval, mem, .. } = self;
         let mem = Self::mem(mem, shared);
         for line in inval.drain(..) {
-            let mut mask = presence.holders(line);
+            let mut mask = llc.take_holders(line);
             while mask != 0 {
                 let i = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                cores[i].back_invalidate(line, mem, presence);
+                cores[i].back_invalidate(line, mem);
             }
         }
     }
@@ -202,9 +199,8 @@ impl System {
             workloads.into_iter().enumerate().map(|(i, w)| Core::new(i, &cfg, w)).collect();
         let sockets: Vec<SocketState> = (0..topo.sockets)
             .map(|_| SocketState {
-                llc: Cache::new(cfg.llc),
+                llc: Llc::new(cfg.llc, topo.cores_per_socket),
                 cat: CatState::new(cfg.num_clos, cfg.llc.ways, &topo),
-                presence: Presence::new(),
                 inval: Vec::new(),
                 mem: topo.mem_per_socket.then(|| MemoryController::new(cfg.memory, &topo)),
             })
@@ -297,7 +293,7 @@ impl System {
 
     /// Captures the machine's complete state — every core's caches,
     /// prefetcher training, MSHRs and clock, the LLC, CAT programming,
-    /// memory-controller and presence state — as an immutable snapshot
+    /// memory-controller state and L2-holder masks — as an immutable snapshot
     /// that [`SystemSnapshot::restore`] can later rehydrate any number of
     /// times.
     ///
@@ -345,10 +341,10 @@ impl System {
     /// True if any socket's LLC holds `line` (testing/debug
     /// introspection). On single-socket machines this is the one LLC.
     pub fn llc_contains(&self, line: u64) -> bool {
-        self.sockets.iter().any(|s| s.llc.contains(line))
+        self.sockets.iter().any(|s| s.llc.cache().contains(line))
     }
 
-    /// Bitmask of socket-0 cores whose L2 the presence map records as
+    /// Bitmask of socket-0 cores whose L2 the holder masks record as
     /// holding `line` (testing/debug introspection); see
     /// [`System::presence_holders_in`] for other sockets.
     pub fn presence_holders(&self, line: u64) -> u64 {
@@ -358,7 +354,7 @@ impl System {
     /// Socket-local holder bitmask for `line` on `socket` — bit *i* is
     /// the core with global id `socket * cores_per_socket + i`.
     pub fn presence_holders_in(&self, socket: usize, line: u64) -> u64 {
-        self.sockets[socket].presence.holders(line)
+        self.sockets[socket].llc.holders(line)
     }
 
     /// Reads core `i`'s PMU snapshot (valid as of the last quantum
@@ -785,7 +781,7 @@ mod tests {
             System::new(SystemConfig::tiny(2), vec![seq_at(0, 1 << 13), seq_at(1 << 24, 1 << 13)]);
         sys.run(30_000);
         let victim = (0u64..(1 << 13) / 64)
-            .find(|&l| sys.sockets[0].presence.holders(l) == 0b01 && sys.cores[0].l2.contains(l))
+            .find(|&l| sys.sockets[0].llc.holders(l) == 0b01 && sys.cores[0].l2.contains(l))
             .expect("core 0 must have cached part of its working set");
         assert!(
             !sys.cores[1].l1.contains(victim) && !sys.cores[1].l2.contains(victim),
@@ -833,50 +829,79 @@ mod tests {
 
     #[test]
     fn presence_map_mirrors_private_l2_contents() {
-        // After any run that caused real LLC evictions (core 1 streams far
-        // more than the tiny LLC holds), the presence map must agree
-        // exactly with the private L2s. That equivalence is what makes
-        // holder-targeted back-invalidation semantically identical to a
-        // broadcast: back-invalidating a non-holder is a no-op.
+        // After runs that cause real LLC evictions (some cores stream far
+        // more than the tiny LLC holds, others share a small set), every
+        // socket's holder masks must agree exactly with its private L2s.
+        // That equivalence is what makes holder-targeted back-invalidation
+        // semantically identical to a broadcast, and QBS read from the
+        // LLC's holder column identical to asking every L2.
         //
         // Inclusion (L2 ⊆ LLC) is checked as near-total rather than exact:
         // a fill in flight in an MSHR when the LLC evicts its line lands
         // after the deferred invalidation already drained, a relaxed-sync
         // artifact this simulator shares with its broadcast predecessor.
-        let mut sys =
-            System::new(SystemConfig::tiny(2), vec![seq_at(0, 1 << 13), seq_at(0, 1 << 22)]);
-        sys.run(200_000);
-        let mut resident = 0u64;
-        let mut inclusion_violations = 0u64;
-        for l in 0u64..(1 << 22) / 64 {
-            let mut mask = 0u64;
-            for c in 0..2 {
-                if sys.cores[c].l2.contains(l) {
-                    mask |= 1 << c;
-                }
-                assert!(
-                    !sys.cores[c].l1.contains(l) || sys.cores[c].l2.contains(l),
-                    "L1 ⊆ L2 violated at line {l:#x} core {c}"
-                );
-            }
-            assert_eq!(
-                sys.presence_holders(l),
-                mask,
-                "presence map out of sync with L2 contents at line {l:#x}"
-            );
-            if mask != 0 {
-                resident += 1;
-                if !sys.llc_contains(l) {
-                    inclusion_violations += 1;
+        // Such a line is an orphan: its mask lives in the orphan table,
+        // and it must be tracked there.
+        const SMALL: u64 = 1 << 13;
+        const BIG: u64 = 1 << 22;
+        let mut shared = Topology::grid(2, 4);
+        shared.mem_per_socket = false;
+        // (case, topology, per-core (base, span))
+        let cases = [
+            ("tiny(2)", Topology::single(2), vec![(0, SMALL), (0, BIG)]),
+            (
+                "2x4",
+                Topology::grid(2, 4),
+                [(0, SMALL), (0, BIG), (0, SMALL), (BIG, SMALL)].repeat(2),
+            ),
+            ("2x4@shared", shared, [(0, BIG), (0, SMALL), (BIG, SMALL), (0, SMALL)].repeat(2)),
+        ];
+        let mut orphans_seen = 0;
+        for (case, topo, spans) in cases {
+            let cps = topo.cores_per_socket;
+            let mut cfg = SystemConfig::tiny(topo.total_cores());
+            cfg.set_topology(topo);
+            let wl = spans.iter().map(|&(base, span)| seq_at(base, span)).collect();
+            let mut sys = System::new(cfg, wl);
+            for _ in 0..3 {
+                sys.run(70_000);
+                for (s, sock) in sys.sockets.iter().enumerate() {
+                    let cores = &sys.cores[s * cps..(s + 1) * cps];
+                    let (mut resident, mut orphans) = (0u64, 0usize);
+                    // Prefetchers run past the end of a span: scan well beyond.
+                    for l in 0u64..2 * BIG / 64 {
+                        let mut mask = 0u64;
+                        for (c, core) in cores.iter().enumerate() {
+                            if core.l2.contains(l) {
+                                mask |= 1 << c;
+                            }
+                            assert!(
+                                !core.l1.contains(l) || core.l2.contains(l),
+                                "{case}: L1 ⊆ L2 violated at line {l:#x} core {c}"
+                            );
+                        }
+                        assert_eq!(
+                            sys.presence_holders_in(s, l),
+                            mask,
+                            "{case}: socket {s}'s holder masks out of sync with its L2s at line {l:#x}"
+                        );
+                        if mask != 0 {
+                            resident += 1;
+                            orphans += usize::from(!sock.llc.cache().contains(l));
+                        }
+                    }
+                    assert!(resident > 0, "{case}: socket {s} holds nothing");
+                    assert_eq!(sock.llc.orphans(), orphans, "{case}: socket {s}'s orphan table");
+                    assert!(
+                        orphans * 20 <= resident as usize,
+                        "{case}: inclusion leaks must stay a rare in-flight-fill artifact: \
+                         {orphans} of {resident} resident lines"
+                    );
+                    orphans_seen += orphans;
                 }
             }
         }
-        assert!(resident > 0);
-        assert!(
-            inclusion_violations * 20 <= resident,
-            "inclusion leaks must stay a rare in-flight-fill artifact: \
-             {inclusion_violations} of {resident} resident lines"
-        );
+        assert!(orphans_seen > 0, "no case exercised an orphan line");
     }
 
     /// Records the host thread that generates each op into `seen`.

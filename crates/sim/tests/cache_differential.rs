@@ -1,17 +1,27 @@
 //! Differential test of the compact tag store: [`cmm_sim::cache::Cache`]
 //! against the layout it replaced, which kept a cache-wide `u64` LRU tick,
-//! a `u64` stamp and a flag byte per way. Both caches run the same random
-//! operation sequences, on an L1-like, a tiny and a 20-way LLC geometry,
-//! and must agree on every return value, every counter and every line's
-//! residency after every operation.
+//! a `u64` stamp and a flag byte per way, and chose QBS victims through a
+//! `protected` closure. Both caches run the same random operation
+//! sequences, on an L1-like, a tiny and a 20-way LLC geometry, and must
+//! agree on every return value, every counter and every line's residency
+//! after every operation.
+//!
+//! On the tiny and LLC geometries the compact cache carries a holder
+//! column. A reference holder map (line → mask, for resident lines) feeds
+//! the oracle's closure, and the compact cache's QBS fill, which reads the
+//! column instead, must pick the same victims; every resident line's
+//! column entry must equal the map's.
 
-use cmm_sim::cache::Cache;
+use cmm_sim::cache::{Cache, Eviction};
 use cmm_sim::config::{CacheGeometry, SystemConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use std::collections::HashMap;
 use std::fmt::Debug;
 
-/// The previous `Cache`, kept verbatim as the oracle.
+/// The previous `Cache`, kept as the oracle. Its results gain the fields
+/// the compact cache's results grew (a hit's way, a victim's holders),
+/// which it fills from the same row-major layout and with 0.
 mod oracle {
     use cmm_sim::cache::{CacheStats, Eviction, HitInfo};
     use cmm_sim::config::CacheGeometry;
@@ -104,7 +114,7 @@ mod oracle {
                         self.stats.prefetch_used += 1;
                     }
                     self.stats.hits += 1;
-                    Some(HitInfo { first_use_of_prefetch: first_use })
+                    Some(HitInfo { first_use_of_prefetch: first_use, way: idx })
                 }
                 None => {
                     self.stats.misses += 1;
@@ -146,7 +156,7 @@ mod oracle {
                 self.tags[idx] = INVALID_TAG;
                 self.flags[idx] = 0;
                 self.stamps[idx] = 0;
-                Some(Eviction { line, dirty, unused_prefetch })
+                Some(Eviction { line, dirty, unused_prefetch, holders: 0 })
             } else {
                 None
             }
@@ -260,6 +270,7 @@ mod oracle {
                     line: self.tags[idx],
                     dirty: self.flags[idx] & FLAG_DIRTY != 0,
                     unused_prefetch,
+                    holders: 0,
                 })
             } else {
                 None
@@ -308,12 +319,19 @@ enum Op {
         prefetched: bool,
         mask: u64,
     },
-    /// `protect` is a bitset over `line % 64`: the QBS `protected` predicate.
+    /// An insert with Query-Based Selection: the oracle's `protected`
+    /// closure asks the reference holder map; the compact cache reads its
+    /// holder column.
     InsertQbs {
         line: u64,
         prefetched: bool,
         mask: u64,
-        protect: u64,
+    },
+    /// Sets a resident line's holder mask (no-op if absent), as L2 fills
+    /// and evictions do through the LLC.
+    Hold {
+        line: u64,
+        holders: u64,
     },
     Invalidate(u64),
     MarkDirty(u64),
@@ -367,9 +385,13 @@ fn arb_op(geom: CacheGeometry, hot_sets: u64) -> BoxedStrategy<Op> {
             prefetched,
             mask
         }),
-        (line(), any::<bool>(), arb_mask(ways), any::<u64>()).prop_map(
-            |(line, prefetched, mask, protect)| Op::InsertQbs { line, prefetched, mask, protect }
-        ),
+        (line(), any::<bool>(), arb_mask(ways))
+            .prop_map(|(line, prefetched, mask)| Op::InsertQbs { line, prefetched, mask }),
+        (line(), any::<u64>(), any::<bool>()).prop_map(|(line, bits, unheld)| Op::Hold {
+            line,
+            holders: if unheld { 0 } else { bits }
+        }),
+        (line(), any::<u64>()).prop_map(|(line, holders)| Op::Hold { line, holders }),
         line().prop_map(Op::Invalidate),
         line().prop_map(Op::MarkDirty),
     ]
@@ -384,54 +406,103 @@ fn same<T: PartialEq + Debug>(op: Op, what: &str, compact: T, oracle: T) -> Resu
     }
 }
 
+/// The oracle and the reference holder map it is fed from.
+struct Reference {
+    cache: oracle::Cache,
+    /// Holder masks of resident lines; an absent line holds 0.
+    holders: HashMap<u64, u64>,
+}
+
+impl Reference {
+    /// The oracle's eviction, with the victim's mask moved out of the map.
+    fn evicted(&mut self, ev: Option<Eviction>) -> Option<Eviction> {
+        ev.map(|e| Eviction { holders: self.holders.remove(&e.line).unwrap_or(0), ..e })
+    }
+}
+
 /// Applies `op` to both caches and fails on the first disagreement.
-fn step(new: &mut Cache, old: &mut oracle::Cache, op: Op, lines: &[u64]) -> Result<(), String> {
+/// `field` is the compact cache's holder-mask width, or `None` without a
+/// holder column (then QBS inserts are plain inserts and `Hold` is a no-op).
+fn step(
+    new: &mut Cache,
+    old: &mut Reference,
+    field: Option<u64>,
+    op: Op,
+    lines: &[u64],
+) -> Result<(), String> {
     match op {
-        Op::Access(l) => same(op, "access", new.access(l), old.access(l))?,
-        Op::Probe(l) => same(op, "probe", new.probe_for_prefetch(l), old.probe_for_prefetch(l))?,
-        Op::Insert { line, prefetched, mask } => same(
-            op,
-            "insert",
-            new.insert(line, prefetched, mask),
-            old.insert(line, prefetched, mask),
-        )?,
-        Op::InsertQbs { line, prefetched, mask, protect } => {
-            let protected = move |l: u64| protect >> (l % 64) & 1 != 0;
-            same(
-                op,
-                "insert_qbs",
-                new.insert_qbs(line, prefetched, mask, &protected),
-                old.insert_qbs(line, prefetched, mask, &protected),
-            )?
+        Op::Access(l) => same(op, "access", new.access(l), old.cache.access(l))?,
+        Op::Probe(l) => {
+            same(op, "probe", new.probe_for_prefetch(l), old.cache.probe_for_prefetch(l))?
+        }
+        Op::Insert { line, prefetched, mask } | Op::InsertQbs { line, prefetched, mask } => {
+            let qbs = matches!(op, Op::InsertQbs { .. }) && field.is_some();
+            let was_resident = old.cache.contains(line);
+            let fill = new.fill(line, prefetched, mask, qbs);
+            let ev = if qbs {
+                let map = &old.holders;
+                let protected = |l: u64| map.get(&l).is_some_and(|&m| m != 0);
+                old.cache.insert_qbs(line, prefetched, mask, &protected)
+            } else {
+                old.cache.insert(line, prefetched, mask)
+            };
+            let ev = old.evicted(ev);
+            same(op, "fill", (fill.was_resident, fill.evicted), (was_resident, ev))?;
+            same(op, "fill way", Some(fill.way), new.way_of(line))?;
+        }
+        Op::Hold { line, holders } => {
+            if let (Some(field), Some(way)) = (field, new.way_of(line)) {
+                new.set_holders(way, holders & field);
+                old.holders.insert(line, holders & field);
+            }
         }
         Op::Invalidate(l) => {
-            same(op, "invalidate_line", new.invalidate_line(l), old.invalidate_line(l))?
+            let ev = old.cache.invalidate_line(l);
+            same(op, "invalidate_line", new.invalidate_line(l), old.evicted(ev))?
         }
         Op::MarkDirty(l) => {
             new.mark_dirty(l);
-            old.mark_dirty(l);
+            old.cache.mark_dirty(l);
         }
         Op::Flush => {
             new.flush();
-            old.flush();
+            old.cache.flush();
+            old.holders.clear();
         }
     }
-    same(op, "stats", new.stats, old.stats)?;
+    same(op, "stats", new.stats, old.cache.stats)?;
     for &l in lines {
-        same(op, &format!("contains({l})"), new.contains(l), old.contains(l))?;
+        same(op, &format!("contains({l})"), new.contains(l), old.cache.contains(l))?;
+        if field.is_some() {
+            let column = new.way_of(l).map(|w| new.holders(w));
+            let map = old.cache.contains(l).then(|| old.holders.get(&l).copied().unwrap_or(0));
+            same(op, &format!("holders({l})"), column, map)?;
+        }
     }
     for set in 0..HOT_SETS.min(new.sets()) {
-        same(op, &format!("set_occupancy({set})"), new.set_occupancy(set), old.set_occupancy(set))?;
+        same(
+            op,
+            &format!("set_occupancy({set})"),
+            new.set_occupancy(set),
+            old.cache.set_occupancy(set),
+        )?;
     }
     Ok(())
 }
 
-fn run(geom: CacheGeometry, ops: &[Op]) -> Result<(), TestCaseError> {
-    let (mut new, mut old) = (Cache::new(geom), oracle::Cache::new(geom));
-    assert_eq!((new.sets(), new.ways()), (old.sets(), old.ways()));
+/// Runs `ops` on a compact cache (with a holder column for `holder_cores`
+/// cores, if given) and on the oracle.
+fn run(geom: CacheGeometry, holder_cores: Option<usize>, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut new = match holder_cores {
+        Some(cores) => Cache::with_holders(geom, cores),
+        None => Cache::new(geom),
+    };
+    let field = holder_cores.map(|c| u64::MAX >> (64 - c));
+    let mut old = Reference { cache: oracle::Cache::new(geom), holders: HashMap::new() };
+    assert_eq!((new.sets(), new.ways()), (old.cache.sets(), old.cache.ways()));
     let lines = universe(geom);
     for (i, &op) in ops.iter().enumerate() {
-        step(&mut new, &mut old, op, &lines)
+        step(&mut new, &mut old, field, op, &lines)
             .map_err(|e| TestCaseError::fail(format!("op {i}: {e}")))?;
     }
     Ok(())
@@ -454,17 +525,17 @@ proptest! {
 
     #[test]
     fn compact_matches_oracle_on_l1_geometry(ops in proptest::collection::vec(arb_op(l1_like(), HOT_SETS), 1500)) {
-        run(l1_like(), &ops)?;
+        run(l1_like(), None, &ops)?;
     }
 
     #[test]
     fn compact_matches_oracle_on_tiny_geometry(ops in proptest::collection::vec(arb_op(tiny(), HOT_SETS), 1500)) {
-        run(tiny(), &ops)?;
+        run(tiny(), Some(2), &ops)?;
     }
 
     #[test]
     fn compact_matches_oracle_on_20_way_llc(ops in proptest::collection::vec(arb_op(llc_20way(), HOT_SETS), 1500)) {
-        run(llc_20way(), &ops)?;
+        run(llc_20way(), Some(32), &ops)?;
     }
 }
 
@@ -474,7 +545,7 @@ proptest! {
 /// renumbered order. No flush, which would reset the clock.
 #[test]
 fn compact_matches_oracle_through_clock_renumbering() {
-    for geom in [l1_like(), llc_20way()] {
+    for (geom, holder_cores) in [(l1_like(), None), (llc_20way(), Some(32))] {
         let strategy = arb_op(geom, 1);
         let mut rng = TestRng::new(0x5E7_C10C);
         let ops: Vec<Op> = std::iter::repeat_with(|| strategy.generate(&mut rng))
@@ -485,7 +556,7 @@ fn compact_matches_oracle_through_clock_renumbering() {
         let ticks =
             ops.iter().filter(|op| matches!(op, Op::Insert { .. } | Op::InsertQbs { .. })).count();
         assert!(ticks > 1 << 14, "only {ticks} ticks of the set's clock");
-        if let Err(e) = run(geom, &ops) {
+        if let Err(e) = run(geom, holder_cores, &ops) {
             panic!("{geom:?}: {e:?}");
         }
     }

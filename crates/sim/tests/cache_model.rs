@@ -129,14 +129,15 @@ proptest! {
     #[test]
     fn qbs_protects_resident_lines(churn in proptest::collection::vec(0u64..512, 10..200)) {
         let geom = CacheGeometry { size_bytes: 8 * 4 * 64, ways: 4, hit_latency: 1 };
-        let mut cache = Cache::new(geom);
-        // Two protected lines per set would still leave 2 ways of churn room.
-        let protected = |l: u64| l < 16; // lines 0..16: two per set
+        let mut cache = Cache::with_holders(geom, 1);
+        // Two held lines per set would still leave 2 ways of churn room.
         for l in 0..16u64 {
-            cache.insert(l, false, u64::MAX);
+            // lines 0..16: two per set, each held by an L2
+            let way = cache.fill(l, false, u64::MAX, true).way;
+            cache.set_holders(way, 1);
         }
         for &l in &churn {
-            cache.insert_qbs(l + 16, false, u64::MAX, &protected);
+            cache.fill(l + 16, false, u64::MAX, true);
         }
         for l in 0..16u64 {
             prop_assert!(cache.contains(l), "protected line {l} was evicted");
